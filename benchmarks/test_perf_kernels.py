@@ -123,7 +123,6 @@ def run_mode(catalog: Catalog, plan, vectorize: bool) -> dict:
     for _ in engine.run(plan, PERF_BATCHES):
         pass
     total = time.perf_counter() - t0
-    engine.executor.close()
     # The sanitizer's zero-cost-when-off claim (DESIGN.md §13) is a perf
     # guarantee, so the perf suite is where it gets enforced: no config
     # here sets sanitize=True, so not a single sanitizer cycle may show.

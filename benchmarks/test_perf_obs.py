@@ -74,7 +74,6 @@ def _run_nd_heavy(catalog, plan, profile: bool) -> dict:
     for _ in engine.run(plan, PERF_BATCHES):
         pass
     total = time.perf_counter() - t0
-    engine.executor.close()
     return {
         "total_seconds": total,
         "per_batch_seconds": [b.wall_seconds for b in engine.metrics.batches],
@@ -98,7 +97,6 @@ def _calibration_sweep() -> dict:
             )
             for _ in engine.run(spec.plan, CAL_BATCHES):
                 pass
-            engine.executor.close()
             cal = engine.metrics.cost_calibration
             per_query[f"{source}:{name}"] = {
                 "predictions": cal["predictions"],

@@ -84,7 +84,6 @@ def run_mode(catalog, plan, faults, interval):
     t0 = time.perf_counter()
     final = engine.run_to_completion(plan, PERF_BATCHES)
     total = time.perf_counter() - t0
-    engine.executor.close()
     return {
         "total_seconds": total,
         "recovery_seconds": sum(

@@ -82,7 +82,6 @@ def run_serial(catalog, plan) -> dict:
         "cpu_seconds": time.process_time() - cpu0,
         "per_batch_seconds": [bm.wall_seconds for bm in engine.metrics.batches],
     }
-    engine.executor.close()
     return result, last
 
 

@@ -21,17 +21,16 @@ contracts the executor assumes:
 * :mod:`repro.analysis.verify` — the runtime contract verifier behind
   ``--verify`` / ``OnlineConfig(verify=True)``, which re-checks the
   static claims dynamically (input fingerprints around ``process``,
-  state-key snapshots per batch, cross-thread store-write detection);
+  state-key snapshots per batch);
 * :mod:`repro.analysis.races` — the plan-level race detector behind
   ``iolap analyze --races``: derives a read/write effect summary per
   compiled execution unit (store entries, block edges, carried
-  sidecars) and checks the summaries against the wave schedule's
-  happens-before order (RACE0xx/RACE1xx/RACE2xx);
+  sidecars) and checks the summaries against the units' declared
+  produce/consume order (RACE0xx/RACE2xx);
 * :mod:`repro.analysis.sanitize` — the TSan-style runtime buffer
   sanitizer behind ``--sanitize`` / ``OnlineConfig(sanitize=True)``:
-  freezes zero-copy buffers during ``process``, tracks aliased-view
-  provenance, and cross-checks per-batch buffer access logs between
-  executor threads (SAN0xx).
+  freezes zero-copy buffers during ``process`` and tracks aliased-view
+  provenance (SAN0xx).
 
 Everything reports through :class:`AnalysisDiagnostic`: a structured
 (rule id, location, message, fix hint) record instead of a runtime

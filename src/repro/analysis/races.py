@@ -1,13 +1,14 @@
-"""Plan-level race detector: effect summaries checked against wave order.
+"""Plan-level race detector: effect summaries checked against unit order.
 
 The iOLAP delta-update discipline only stays correct if every state
 store, lineage block, and carried sidecar has exactly one writer per
 batch. PR 2's TC3xx single-producer check covers block *wiring*; this
-pass covers *scheduling*: it derives a read/write effect summary per
+pass covers *ordering*: it derives a read/write effect summary per
 compiled :class:`~repro.core.compiler.ExecutionUnit` and checks the
-summaries against the happens-before order implied by
-:func:`repro.engine.executor.dependency_waves` (units within one wave
-may run concurrently on the ``ParallelExecutor``; waves are barriers).
+summaries against the happens-before order the units declare through
+their ``produces``/``consumes`` block ids. The serial executor happens
+to run units in compiler order, but only a declared dependency makes
+that order part of the plan's contract.
 
 Effect summaries combine two sources:
 
@@ -25,22 +26,15 @@ through ``ctx.resolve`` (dynamic lineage resolution) are not modelled,
 so the detector can miss a race routed through resolution but never
 reports a false positive for it.
 
-Rules:
+Rules (all errors):
 
-* ``RACE001``/``RACE002`` — two units in the *same* wave with
-  conflicting store-entry / lineage-block effects (errors: the parallel
-  executor may interleave them).
-* ``RACE101`` — a store entry shared across waves with no
-  produce/consume dependency path between the units in either
-  direction (warning: the ordering is a scheduling accident, not a
-  declared dependency).
+* ``RACE001``/``RACE002`` — two units with conflicting store-entry /
+  lineage-block effects and no produce/consume dependency path between
+  them in either direction: their relative order is an accident of
+  compilation, not a declared dependency.
 * ``RACE201`` — a carried lineage sidecar whose producing unit has no
-  dependency path to the carrier, i.e. the producer can republish the
-  block concurrently with the carrier resolving into it (error).
-* ``RACE301`` — a block-backed state entry (a store entry aliasing a
-  published lineage block, e.g. the rollup plane's persistent output)
-  whose backing block is produced by a *different* unit: two units would
-  mutate one object graph across the store/block boundary (error).
+  dependency path to the carrier, i.e. nothing orders the producer's
+  republish of the block before the carrier resolves into it.
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ from repro.core.compiler import (
 )
 from repro.core.operators import iter_ops
 from repro.core.smallplan import iter_small_nodes
-from repro.engine.executor import dependency_waves
 from repro.errors import ReproError, UnsupportedQueryError
 from repro.relational.algebra import PlanNode
 from repro.relational.catalog import Catalog
@@ -71,11 +64,9 @@ from repro.sql.planner import plan_sql
 #: test suite asserts every rule here is triggered by some fixture.
 RACE_RULES: dict[str, str] = {
     "RACE000": "plan does not compile for online execution; race analysis skipped",
-    "RACE001": "two units in the same wave touch the same state-store entry",
-    "RACE002": "two units in the same wave conflict on a lineage block",
-    "RACE101": "store entry shared across units with no dependency path between them",
-    "RACE201": "carried sidecar's producing unit can republish concurrently",
-    "RACE301": "block-backed state entry aliases a block produced by another unit",
+    "RACE001": "two units with no dependency path touch the same state-store entry",
+    "RACE002": "two units with no dependency path conflict on a lineage block",
+    "RACE201": "carried sidecar's producing unit is not ordered before the carrier",
 }
 
 
@@ -200,11 +191,6 @@ class EffectSummary:
     block_writes: set[int] = field(default_factory=set)
     #: Block ids this unit's operators bake into carried lineage sidecars.
     sidecar_sources: set[int] = field(default_factory=set)
-    #: ``(entry, block_id)`` pairs of store entries that alias a lineage
-    #: block (declared via ``StateRule.block_backed``): the persistent
-    #: rollup-path output lives in the store *and* is published as the
-    #: block, so its block must be produced by this unit alone.
-    block_backed: set[tuple[str, int]] = field(default_factory=set)
     #: ``id(store) -> op label`` for diagnostics.
     store_owners: dict[int, str] = field(default_factory=dict)
 
@@ -251,15 +237,6 @@ def summarize_effects(unit: ExecutionUnit) -> EffectSummary:
             for key in entries:
                 summary.store_reads.add((id(store), key))
                 summary.store_writes.add((id(store), key))
-            if rule is not None and rule.block_backed:
-                block_id = _resolve_block_id(op, "block_id")
-                if block_id is not None:
-                    for entry in rule.block_backed:
-                        summary.block_backed.add((entry, block_id))
-                    # Mutating the backing entry mutates the published
-                    # block: the aliasing makes every backed entry a
-                    # block write as far as scheduling is concerned.
-                    summary.block_writes.add(block_id)
         for attr in effects.block_write_attrs:
             block_id = _resolve_block_id(op, attr)
             if block_id is not None:
@@ -276,7 +253,7 @@ def summarize_effects(unit: ExecutionUnit) -> EffectSummary:
 
 
 # ---------------------------------------------------------------------------
-# Happens-before checks over the wave schedule.
+# Happens-before checks over the declared unit dependencies.
 # ---------------------------------------------------------------------------
 
 
@@ -319,77 +296,49 @@ def _block_conflicts(a: EffectSummary, b: EffectSummary) -> set[int]:
 
 
 def check_races(units: list[ExecutionUnit]) -> list[AnalysisDiagnostic]:
-    """Check every unit pair's effects against the wave schedule."""
+    """Check every unit pair's effects against the declared dependencies."""
     diags: list[AnalysisDiagnostic] = []
     summaries = [summarize_effects(u) for u in units]
-    waves = dependency_waves(units)
-    wave_of: dict[int, int] = {
-        i: w for w, wave in enumerate(waves) for i in wave
-    }
     reach = _reachability(units)
 
     for i in range(len(units)):
         for j in range(i + 1, len(units)):
+            if j in reach[i] or i in reach[j]:
+                continue
             a, b = summaries[i], summaries[j]
-            same_wave = wave_of[i] == wave_of[j]
-            ordered = j in reach[i] or i in reach[j]
-
-            stores = _store_conflicts(a, b)
-            if stores and same_wave:
-                for store_id, entry in sorted(
-                    stores, key=lambda pair: (pair[1], pair[0])
-                ):
-                    owner = a.store_owners.get(
-                        store_id, b.store_owners.get(store_id, "unknown")
+            for store_id, entry in sorted(
+                _store_conflicts(a, b), key=lambda pair: (pair[1], pair[0])
+            ):
+                owner = a.store_owners.get(
+                    store_id, b.store_owners.get(store_id, "unknown")
+                )
+                diags.append(
+                    _diag(
+                        "RACE001",
+                        a.unit_label,
+                        f"store entry {entry!r} of operator {owner!r} is "
+                        f"touched by both {a.unit_label!r} and "
+                        f"{b.unit_label!r} with no produce/consume path "
+                        "between them",
+                        "each operator's state store must belong to "
+                        "exactly one execution unit (§4.2 single-writer "
+                        "discipline)",
                     )
-                    diags.append(
-                        _diag(
-                            "RACE001",
-                            a.unit_label,
-                            f"store entry {entry!r} of operator {owner!r} is "
-                            f"touched by both {a.unit_label!r} and "
-                            f"{b.unit_label!r} in wave {wave_of[i]}",
-                            "each operator's state store must belong to "
-                            "exactly one execution unit (§4.2 single-writer "
-                            "discipline)",
-                        )
+                )
+            for block_id in sorted(_block_conflicts(a, b)):
+                diags.append(
+                    _diag(
+                        "RACE002",
+                        a.unit_label,
+                        f"lineage block {block_id} is written by one of "
+                        f"{a.unit_label!r}/{b.unit_label!r} while the "
+                        "other accesses it, with no produce/consume path "
+                        "between them",
+                        "a block write must be ordered before every "
+                        "reader; check the unit's produces/consumes "
+                        "declarations",
                     )
-            elif stores and not ordered:
-                for store_id, entry in sorted(
-                    stores, key=lambda pair: (pair[1], pair[0])
-                ):
-                    owner = a.store_owners.get(
-                        store_id, b.store_owners.get(store_id, "unknown")
-                    )
-                    diags.append(
-                        _diag(
-                            "RACE101",
-                            a.unit_label,
-                            f"store entry {entry!r} of operator {owner!r} is "
-                            f"shared by {a.unit_label!r} (wave {wave_of[i]}) "
-                            f"and {b.unit_label!r} (wave {wave_of[j]}) with "
-                            "no produce/consume path between them",
-                            "the ordering is a wave-scheduling accident; "
-                            "declare the dependency through a lineage block "
-                            "or split the store",
-                            severity="warning",
-                        )
-                    )
-
-            if same_wave:
-                for block_id in sorted(_block_conflicts(a, b)):
-                    diags.append(
-                        _diag(
-                            "RACE002",
-                            a.unit_label,
-                            f"lineage block {block_id} is written by one of "
-                            f"{a.unit_label!r}/{b.unit_label!r} while the "
-                            f"other accesses it in wave {wave_of[i]}",
-                            "a block write must be ordered before every "
-                            "reader by the wave schedule; check the unit's "
-                            "produces/consumes declarations",
-                        )
-                    )
+                )
 
     producers: dict[int, int] = {}
     for i, unit in enumerate(units):
@@ -407,34 +356,12 @@ def check_races(units: list[ExecutionUnit]) -> list[AnalysisDiagnostic]:
                         summary.unit_label,
                         f"sidecar references block {block_id} produced by "
                         f"{units[p].label!r}, which has no dependency path "
-                        f"to {summary.unit_label!r} and can republish the "
-                        "block concurrently",
+                        f"to {summary.unit_label!r}, so nothing orders its "
+                        "republish before the carrier resolves into it",
                         "consume the block (declare it in the unit's "
-                        "consumes) so the wave schedule orders the producer "
-                        "first",
+                        "consumes) so the producer is ordered first",
                     )
                 )
-        for entry, block_id in sorted(summary.block_backed):
-            p = producers.get(block_id)
-            if p is not None and p == i:
-                continue  # backed by this unit's own block: the safe shape
-            produced_by = (
-                f"unit {units[p].label!r}" if p is not None else "no unit"
-            )
-            diags.append(
-                _diag(
-                    "RACE301",
-                    summary.unit_label,
-                    f"block-backed state entry {entry!r} of "
-                    f"{summary.unit_label!r} aliases lineage block "
-                    f"{block_id}, which is produced by {produced_by}: two "
-                    "writers would mutate one object graph across the "
-                    "store/block boundary",
-                    "a block-backed entry must alias a block its own unit "
-                    "produces; move the entry next to the block's producer "
-                    "or publish a copy instead of the stored object",
-                )
-            )
     return diags
 
 

@@ -20,13 +20,6 @@ module enforces it the way ThreadSanitizer would:
   ``id(base buffer) -> owner``: the stream delta, a disk chunk, a sliced
   relation, or the first operator to emit the buffer. An output whose
   base is already owned is a pass-through and claims nothing.
-* **Cross-thread access logs** — each newly claimed base records
-  ``(owner label, thread id)``; a base claimed from two threads within
-  one batch is a write-write race the wave schedule failed to order
-  (``SAN003``). The ``ParallelExecutor`` cross-checks the log at every
-  wave barrier via :meth:`check_batch`, extending PR 2's
-  ``ContractVerifier`` single-writer observer from stores to raw
-  buffers.
 
 Like :mod:`repro.analysis.verify`, this module deliberately imports
 nothing from ``repro.core`` — it duck-types operators, relations, and
@@ -38,7 +31,6 @@ modules to register the slice and chunk-view hooks.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Iterator
 
@@ -51,7 +43,6 @@ from repro.errors import SanitizerViolationError
 SANITIZE_RULES: dict[str, str] = {
     "SAN001": "in-place write to a frozen aliased batch buffer",
     "SAN002": "in-place write to a read-only memmapped DiskTable chunk",
-    "SAN003": "base buffer claimed for writing from two threads in one batch",
 }
 
 #: Substrings of numpy's errors for writes into non-writeable arrays.
@@ -125,7 +116,7 @@ def _op_label(op: Any) -> str:
 
 
 class _Frame:
-    """One in-flight ``process`` call on the current thread."""
+    """One in-flight ``process`` call."""
 
     __slots__ = ("label", "restores")
 
@@ -137,20 +128,18 @@ class _Frame:
 class BufferSanitizer:
     """Per-run runtime sanitizer; one instance lives on the context.
 
-    All mutating methods are cheap (flag flips and dict updates) and
-    thread-safe; ``seconds`` accumulates their wall time so the
+    All mutating methods are cheap (flag flips and dict updates);
+    ``seconds`` accumulates their wall time so the
     controller can report the overhead honestly as
     ``RunMetrics.sanitize_seconds``.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._local = threading.local()
         self._batch_no: int | None = None
         #: id(base) -> owner label, per batch (cleared to dodge id reuse).
         self._owners: dict[int, str] = {}
-        #: id(base) -> {(owner label, thread id)} write claims, per batch.
-        self._claims: dict[int, set[tuple[str, int]]] = {}
+        #: In-flight ``process`` calls, innermost last.
+        self._stack: list[_Frame] = []
         #: Strong refs keeping claimed/frozen bases alive for the batch,
         #: so the id()-keyed maps cannot alias a recycled address.
         self._pins: list[np.ndarray] = []
@@ -162,45 +151,16 @@ class BufferSanitizer:
     def begin_batch(self, batch_no: int, delta: Any = None) -> None:
         """Reset per-batch state; freeze the stream delta permanently."""
         started = time.perf_counter()
-        with self._lock:
-            if self._batch_no == batch_no:
-                self.seconds += time.perf_counter() - started
-                return
-            self._batch_no = batch_no
-            self._owners.clear()
-            self._claims.clear()
-            self._pins.clear()
-            owner = f"stream:batch-{batch_no}"
-            for arr in _buffers_of(delta):
-                arr.flags.writeable = False
-                self._own(_base(arr), owner)
-        self.seconds += time.perf_counter() - started
-
-    def check_batch(self) -> None:
-        """Wave-barrier cross-check of the per-batch access log.
-
-        Verifies no base buffer collected write claims from two threads
-        within the wave that just ran, then *seals* the surviving claims:
-        the barrier orders everything before it, so sealed buffers become
-        plain owned memory that later waves may pass through freely —
-        only genuinely concurrent (same-wave) claims can conflict.
-        """
-        started = time.perf_counter()
-        with self._lock:
-            for base_id, claims in self._claims.items():
-                threads = {tid for _, tid in claims}
-                if len(threads) > 1:
-                    labels = sorted({label for label, _ in claims})
-                    self.seconds += time.perf_counter() - started
-                    raise self._violation(
-                        "SAN003",
-                        labels[-1],
-                        labels[:-1],
-                        f"base buffer {base_id} was claimed for writing by "
-                        f"{labels} from {len(threads)} threads in batch "
-                        f"{self._batch_no}",
-                    )
-            self._claims.clear()
+        if self._batch_no == batch_no:
+            self.seconds += time.perf_counter() - started
+            return
+        self._batch_no = batch_no
+        self._owners.clear()
+        self._pins.clear()
+        owner = f"stream:batch-{batch_no}"
+        for arr in _buffers_of(delta):
+            arr.flags.writeable = False
+            self._own(_base(arr), owner)
         self.seconds += time.perf_counter() - started
 
     # -- per-operator hand-off ---------------------------------------------
@@ -212,13 +172,13 @@ class BufferSanitizer:
         for arr in _buffers_of(delta):
             frame.restores.append((arr, bool(arr.flags.writeable)))
             arr.flags.writeable = False
-        self._stack().append(frame)
+        self._stack.append(frame)
         self.seconds += time.perf_counter() - started
 
     def release(self, op: Any) -> None:
         """Restore input writeability recorded by :meth:`before_process`."""
         started = time.perf_counter()
-        stack = self._stack()
+        stack = self._stack
         if stack:
             frame = stack.pop()
             for arr, prior in reversed(frame.restores):
@@ -232,27 +192,10 @@ class BufferSanitizer:
         """Claim ownership of every *new* base buffer the operator emitted."""
         started = time.perf_counter()
         label = _op_label(op)
-        tid = threading.get_ident()
-        with self._lock:
-            for arr in _buffers_of(out):
-                base = _base(arr)
-                base_id = id(base)
-                if base_id in self._owners and base_id not in self._claims:
-                    continue  # pass-through of stream/disk/sliced memory
-                self._own(base, label)
-                claims = self._claims.setdefault(base_id, set())
-                claims.add((label, tid))
-                threads = {t for _, t in claims}
-                if len(threads) > 1:
-                    labels = sorted({name for name, _ in claims})
-                    self.seconds += time.perf_counter() - started
-                    raise self._violation(
-                        "SAN003",
-                        label,
-                        [name for name in labels if name != label],
-                        f"operator {label!r} wrote a buffer concurrently "
-                        f"claimed by {labels} in batch {self._batch_no}",
-                    )
+        for arr in _buffers_of(out):
+            # Bases already owned (stream, disk, sliced memory, an
+            # earlier operator's output) pass through unclaimed.
+            self._own(_base(arr), label)
         self.seconds += time.perf_counter() - started
 
     def translate_write_error(
@@ -272,16 +215,15 @@ class BufferSanitizer:
         # Pipeline leaves read the streamed delta off the context (their
         # unit input is None), so sweep both for the owning buffer.
         candidates = [delta, getattr(ctx, "_delta", None)]
-        with self._lock:
-            for arr in _buffers_of(candidates):
-                base = _base(arr)
-                owner = self._owners.get(id(base))
-                if owner is not None and owner not in owners:
-                    owners.append(owner)
-                if memmap_file is None:
-                    mm = _memmap_of(arr)
-                    if mm is not None:
-                        memmap_file = str(getattr(mm, "filename", "?"))
+        for arr in _buffers_of(candidates):
+            base = _base(arr)
+            owner = self._owners.get(id(base))
+            if owner is not None and owner not in owners:
+                owners.append(owner)
+            if memmap_file is None:
+                mm = _memmap_of(arr)
+                if mm is not None:
+                    memmap_file = str(getattr(mm, "filename", "?"))
         if memmap_file is not None:
             return self._violation(
                 "SAN002",
@@ -318,24 +260,22 @@ class BufferSanitizer:
     def _on_slice(self, base_rel: Any, view_rel: Any) -> None:
         started = time.perf_counter()
         owner = self._current_label()
-        with self._lock:
-            for arr in _buffers_of(base_rel):
-                arr.flags.writeable = False
-                self._own(_base(arr), owner)
-            for arr in _buffers_of(view_rel):
-                arr.flags.writeable = False
+        for arr in _buffers_of(base_rel):
+            arr.flags.writeable = False
+            self._own(_base(arr), owner)
+        for arr in _buffers_of(view_rel):
+            arr.flags.writeable = False
         self.seconds += time.perf_counter() - started
 
     def _on_chunk_view(self, table: Any, view_rel: Any) -> None:
         started = time.perf_counter()
         owner = f"disk:{getattr(table, 'path', '?')}"
-        with self._lock:
-            for arr in _buffers_of(view_rel):
-                try:
-                    arr.flags.writeable = False
-                except ValueError:
-                    pass  # memmap views of mode="r" files are born read-only
-                self._own(_base(arr), owner)
+        for arr in _buffers_of(view_rel):
+            try:
+                arr.flags.writeable = False
+            except ValueError:
+                pass  # memmap views of mode="r" files are born read-only
+            self._own(_base(arr), owner)
         self.seconds += time.perf_counter() - started
 
     # -- internals ----------------------------------------------------------
@@ -346,18 +286,9 @@ class BufferSanitizer:
             self._owners[base_id] = owner
             self._pins.append(base)
 
-    def _stack(self) -> list[_Frame]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def _current_label(self) -> str:
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            label: str = stack[-1].label
-            return label
+        if self._stack:
+            return self._stack[-1].label
         if self._batch_no is not None:
             return f"stream:batch-{self._batch_no}"
         return "unknown"

@@ -527,8 +527,8 @@ def check_units(
                         f"block {block_id} is already produced by "
                         f"{producers[block_id]!r}",
                         "every lineage block has exactly one producing unit; "
-                        "cross-unit dataflow relies on it for lock-free "
-                        "parallel execution",
+                        "cross-unit dataflow relies on it (§4.2 "
+                        "single-writer discipline)",
                     )
                 )
             else:

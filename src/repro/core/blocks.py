@@ -20,8 +20,7 @@ work:
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,10 +84,6 @@ class GroupValue:
 class BlockOutput:
     """The (small) current output relation of a lineage block."""
 
-    #: ``estimate_nbytes`` threads its seen-set through ``estimated_bytes``
-    #: so groups shared with a rollup store are not double-counted.
-    nbytes_seen_aware = True
-
     def __init__(self, block_id: int, key_cols: list[str], value_cols: list[str]):
         self.block_id = block_id
         self.key_cols = key_cols
@@ -96,16 +91,6 @@ class BlockOutput:
         self.groups: dict[GroupKey, GroupValue] = {}
         #: Keys first published this batch (delta of the block boundary).
         self.new_keys: list[GroupKey] = []
-        #: Bumped once per publish cycle when the output object persists
-        #: across batches (the rollup publish path); derived caches keyed
-        #: on output identity (e.g. the kernel group tables) must compare
-        #: versions, not just identity.
-        self.version = 0
-        #: Keys published behind the hot tier's stable prefix (tombstones
-        #: and keys not yet in the sketch); the next publish cycle pops
-        #: and re-appends them so hot groups keep their first-published
-        #: positions.
-        self.tail_keys: list[GroupKey] = []
 
     def get(self, key: GroupKey) -> GroupValue | None:
         return self.groups.get(key)
@@ -118,24 +103,7 @@ class BlockOutput:
     def __len__(self) -> int:
         return len(self.groups)
 
-    def __deepcopy__(self, memo: dict) -> "BlockOutput":
-        """Checkpoint copy: fresh containers, shared ``GroupValue`` leaves.
-
-        Published groups are replaced, never mutated in place (each
-        publish cycle builds new ``GroupValue`` objects), so a snapshot
-        only needs its own dict/list structure. This keeps checkpoints of
-        the persistent rollup-path output O(groups) pointer copies
-        instead of deep-copying every trials array in the block.
-        """
-        clone = BlockOutput(self.block_id, self.key_cols, self.value_cols)
-        memo[id(self)] = clone
-        clone.groups = dict(self.groups)
-        clone.new_keys = list(self.new_keys)
-        clone.tail_keys = list(self.tail_keys)
-        clone.version = self.version
-        return clone
-
-    def estimated_bytes(self, seen: set[int] | None = None) -> int:
+    def estimated_bytes(self) -> int:
         if not self.groups:
             return 0
         sample = next(iter(self.groups.values()))
@@ -144,17 +112,7 @@ class BlockOutput:
             per_group += 8
             if isinstance(v, UncertainValue):
                 per_group += 8 * len(v.trials)
-        if seen is None:
-            return per_group * len(self.groups)
-        # Count only groups not already measured under another entry (a
-        # rollup tier referencing the same GroupValue objects), marking
-        # them so the dedup is symmetric whichever entry sizes first.
-        fresh = 0
-        for group in self.groups.values():
-            if id(group) not in seen:
-                seen.add(id(group))
-                fresh += 1
-        return per_group * fresh
+        return per_group * len(self.groups)
 
 
 @dataclass
@@ -182,8 +140,7 @@ class OnlineConfig:
     vectorize: bool = True
     #: Contract-check mode: cross-check the static analyzer's claims at
     #: runtime (input fingerprints around each ``process`` call, state-key
-    #: snapshots per batch, cross-thread store-write detection). Purely
-    #: observational — results are bit-identical to a non-verify run.
+    #: snapshots per batch). Purely observational — results are bit-identical to a non-verify run.
     verify: bool = False
     #: Take a state checkpoint every N batches (Section 5.1 recovery):
     #: failure recovery restores the newest checkpoint at or before the
@@ -211,9 +168,8 @@ class OnlineConfig:
     unit_retry_backoff: float = 0.0
     #: Run the TSan-style buffer sanitizer
     #: (:class:`repro.analysis.sanitize.BufferSanitizer`): freeze every
-    #: buffer handed to ``process`` and every zero-copy view base, track
-    #: view provenance, and cross-check per-batch access logs between
-    #: ParallelExecutor threads. Off by default (zero cost when off).
+    #: buffer handed to ``process`` and every zero-copy view base, and
+    #: track view provenance. Off by default (zero cost when off).
     sanitize: bool = False
     #: Continuous profiling (:mod:`repro.obs.profile`): fold every batch
     #: into a rolling per-operator EWMA profile and fit the predictive
@@ -238,16 +194,6 @@ class OnlineConfig:
     #: None disables the gauge. Does not stop the run — early stopping
     #: stays the caller's decision, as in the paper's interaction model.
     target_rsd: float | None = None
-    #: Two-tier aggregation (:mod:`repro.rollup`): migrate groups whose
-    #: pruning decisions the sentinel layer has resolved out of the
-    #: per-batch hot loop into a finalized rollup tier, so batch cost
-    #: scales with the live ND set instead of the total group count.
-    #: Results are bit-identical to a rollup-off run (enforced by tests).
-    rollup: bool = False
-    #: Consecutive batches a resolved group must go untouched (no new
-    #: certain or ND contribution) before it migrates to the rollup tier.
-    #: Higher = more conservative (fewer demotions on late arrivals).
-    rollup_quiesce: int = 2
     #: Process-level scale-out (:mod:`repro.engine.shards`): hash-partition
     #: the streamed table across this many worker processes, each running
     #: the full delta algorithm over its shard with shared-nothing state,
@@ -278,10 +224,7 @@ class RuntimeContext:
         #: Operator state stores, registered by ``SpineOp.open``; the
         #: engine checkpoints/restores through this registry.
         self.stores = StateRegistry()
-        self._metrics: BatchMetrics = BatchMetrics(0)
-        #: Per-thread metrics override (parallel executor workers record
-        #: into private scratch metrics merged deterministically later).
-        self._metrics_local = threading.local()
+        self.metrics = BatchMetrics(0)
         self._delta: Relation | None = None
         #: True while replaying batches during failure recovery: range
         #: observations neither check integrity nor tighten ranges.
@@ -328,29 +271,6 @@ class RuntimeContext:
             self.verifier.emit = obs.tracer.warning
         if self.sanitizer is not None and obs.enabled:
             self.sanitizer.emit = obs.tracer.warning
-
-    # -- metrics routing -----------------------------------------------------------
-
-    @property
-    def metrics(self) -> BatchMetrics:
-        override = getattr(self._metrics_local, "stack", None)
-        if override:
-            return override[-1]
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value: BatchMetrics) -> None:
-        self._metrics = value
-
-    def push_metrics(self, metrics: BatchMetrics) -> None:
-        """Route this thread's metric writes to ``metrics`` until popped."""
-        stack = getattr(self._metrics_local, "stack", None)
-        if stack is None:
-            stack = self._metrics_local.stack = []
-        stack.append(metrics)
-
-    def pop_metrics(self) -> BatchMetrics:
-        return self._metrics_local.stack.pop()
 
     # -- per-batch lifecycle -------------------------------------------------------
 

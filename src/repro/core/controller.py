@@ -1,7 +1,7 @@
 """The query controller (Section 7, module 3) — iOLAP's public entry point.
 
 Partitions the streamed input into mini-batches, schedules the compiled
-delta query on each batch (through a pluggable batch executor), collects
+delta query on each batch (through the serial batch executor), collects
 partial results with error estimates, monitors variation-range integrity,
 and runs the failure-recovery replay when a check fails.
 
@@ -29,7 +29,7 @@ from repro.core.blocks import OnlineConfig, RuntimeContext
 from repro.core.compiler import CompiledQuery, compile_online
 from repro.core.result import PartialResult
 from repro.core.values import UncertainValue
-from repro.engine.executor import BatchExecutor, make_executor
+from repro.engine.executor import SerialExecutor, check_executor
 from repro.errors import RangeIntegrityError, ReproError, UnsupportedQueryError
 from repro.kernels.stats import STATS as KERNEL_STATS
 from repro.metrics.stats import BatchMetrics, RunMetrics
@@ -52,14 +52,16 @@ class OnlineQueryEngine:
         streamed_table: str,
         config: OnlineConfig | None = None,
         partition_mode: str = "shuffle",
-        executor: str | BatchExecutor = "serial",
+        # Kept because the benchmark harness passes executor="serial".
+        executor: str = "serial",
         obs=None,
     ):
+        check_executor(executor)
         self.catalog = catalog
         self.streamed_table = streamed_table
         self.config = config if config is not None else OnlineConfig()
         self.partitioner = Partitioner(mode=partition_mode, seed=self.config.seed)
-        self.executor = make_executor(executor)
+        self.executor = SerialExecutor()
         #: Observability session (tracing + metrics registry); the inert
         #: NULL_OBS unless the caller wants a trace.
         self.obs = obs if obs is not None else NULL_OBS
@@ -70,9 +72,6 @@ class OnlineQueryEngine:
         #: Continuous profiler of the current run
         #: (``OnlineConfig(profile=True)``), or None.
         self.profiler = None
-        #: Identity-keyed result-row projection cache (rollup runs only):
-        #: ``id(urow) -> (urow, projected dict)``, rebuilt every batch.
-        self._result_rows_cache: dict[int, tuple[object, dict]] = {}
 
     #: Tag recorded on the per-run CheckpointManager; shard workers set
     #: theirs to ``shard<i>`` so recovery logs and snapshots are
@@ -146,7 +145,6 @@ class OnlineQueryEngine:
             # hooks for the duration of this run (removed on close).
             ctx.sanitizer.activate()
         self.metrics = RunMetrics()
-        self._result_rows_cache = {}
 
         compiled.open(ctx)
         # Pristine-state snapshot: failure recovery rewinds every operator
@@ -290,19 +288,14 @@ class OnlineQueryEngine:
         started = time.perf_counter()
         ctx.monitor.replaying = True
         ctx.monitor.reset()
-        # CheckpointManager.restore demotes every restored rollup entry
-        # back into its sketch: the replayed suffix cannot trust state
-        # migrated past the restore point.
         if ckpt is not None:
-            demoted = self._checkpoints.restore(ctx.stores, ckpt.snapshot)
+            self._checkpoints.restore(ctx.stores, ckpt.snapshot)
             ctx.reset_for_replay(
                 batch_no=ckpt.batch_no, seen_rows=ckpt.seen_rows
             )
         else:
-            demoted = self._checkpoints.restore(ctx.stores, baseline)
+            self._checkpoints.restore(ctx.stores, baseline)
             ctx.reset_for_replay()
-        if demoted:
-            obs.metrics.counter("rollup.restore_demotions").inc(demoted)
         # Checkpoints newer than the restore point contain the decisions
         # the failure just invalidated; they must never be restored.
         self._checkpoints.drop_after(start_from)
@@ -350,8 +343,8 @@ class OnlineQueryEngine:
     def _sample_metrics(self, ctx: RuntimeContext, bm: BatchMetrics, batch_no: int) -> None:
         """Per-batch sampling of engine-level gauges + the full registry.
 
-        Runs on the controller thread between batches, so the snapshot is
-        a consistent cut: every unit of batch ``batch_no`` has merged.
+        Runs between batches, so the snapshot is a consistent cut: every
+        unit of batch ``batch_no`` has run.
         """
         reg = ctx.obs.metrics
         reg.gauge("state.total_bytes").set(ctx.stores.total_bytes())
@@ -403,27 +396,8 @@ class OnlineQueryEngine:
     ) -> PartialResult:
         rows = []
         names = compiled.result_schema.names
-        if self.config.rollup:
-            # Result rows of rollup-tier groups are the *same* URow
-            # objects batch over batch (the small-plan leaves reuse them
-            # for unchanged GroupValues); projecting them into the
-            # result dict again would put the per-row cost back on the
-            # total group count. Identity-keyed, so any recomputed URow
-            # misses and projects fresh.
-            cache = self._result_rows_cache
-            fresh: dict[int, tuple[object, dict]] = {}
-            for urow in compiled.current_rows(ctx):
-                hit = cache.get(id(urow))
-                if hit is not None and hit[0] is urow:
-                    row = hit[1]
-                else:
-                    row = {name: urow.values[name] for name in names}
-                fresh[id(urow)] = (urow, row)
-                rows.append(row)
-            self._result_rows_cache = fresh
-        else:
-            for urow in compiled.current_rows(ctx):
-                rows.append({name: urow.values[name] for name in names})
+        for urow in compiled.current_rows(ctx):
+            rows.append({name: urow.values[name] for name in names})
         is_final = batch_no == num_batches
         if is_final:
             rows = [_finalize_row(r) for r in rows]
@@ -441,10 +415,9 @@ class OnlineQueryEngine:
 class RunSession:
     """One in-progress online run, driven one batch at a time.
 
-    Owns everything ``open_run`` acquired and releases it in :meth:`close`
-    — including the engine's executor pool, which previously leaked its
-    worker threads when a run ended, raised, or its generator was
-    abandoned mid-stream.
+    Owns everything ``open_run`` acquired and releases it in :meth:`close`,
+    whether the run ended, raised, or its generator was abandoned
+    mid-stream.
     """
 
     def __init__(
@@ -525,10 +498,6 @@ class RunSession:
             self.engine.profiler.finish()
         self.compiled.close()
         self.obs.flush()
-        # The run owns the executor pool's lifecycle: a ParallelExecutor
-        # re-creates its pool lazily on the next run, so closing here is
-        # safe for engine reuse while guaranteeing no stranded threads.
-        self.engine.executor.close()
 
 
 def _finalize_row(row: dict[str, object]) -> dict[str, object]:

@@ -7,9 +7,7 @@ import numpy as np
 from repro.core.blocks import BlockOutput, GroupKey, GroupValue, RuntimeContext
 from repro.core.classify import evaluate_side
 from repro.core.operators.base import DeltaBatch, SpineOp, StateRule, TagRule
-from repro.core.sentinels import QuiescenceTracker
 from repro.core.sketch import AggBundle
-from repro.rollup import ResolvedRollupStore
 from repro.state.store import SelfSizingSet
 from repro.core.values import LineageRef, UncertainValue
 from repro.kernels.codec import factorize_keys, recode_subset
@@ -46,15 +44,8 @@ class AggregateOp(SpineOp):
                 "certain_groups",
                 "published_keys",
                 "tombstones",
-                "rollup",
-                "quiesce",
-                "output",
             }
         ),
-        # The persistent block output doubles as the published lineage
-        # block under ``rollup=True``; the race detector checks that the
-        # backing block is produced by this unit alone (RACE301).
-        block_backed=frozenset({"output"}),
     )
 
     def __init__(
@@ -103,12 +94,6 @@ class AggregateOp(SpineOp):
         self.state.put("certain_groups", SelfSizingSet())
         self.state.put("published_keys", SelfSizingSet())
         self.state.put("tombstones", {})
-        self.state.put("rollup", ResolvedRollupStore())
-        self.state.put("quiesce", QuiescenceTracker())
-        self.state.put(
-            "output",
-            BlockOutput(self.block_id, self.group_by, [s.name for s in self.specs]),
-        )
 
     @property
     def sketch(self) -> AggBundle:
@@ -139,35 +124,8 @@ class AggregateOp(SpineOp):
         return self.state.get("tombstones")
 
     @property
-    def _rollup(self) -> ResolvedRollupStore:
-        return self.state.get("rollup")
-
-    @property
-    def _quiesce(self) -> QuiescenceTracker:
-        return self.state.get("quiesce")
-
-    @property
-    def _output(self) -> BlockOutput:
-        return self.state.get("output")
-
-    @property
     def needs_row_store(self) -> bool:
         return bool(self.lazy_specs or self.holistic_specs)
-
-    @property
-    def rollup_eligible(self) -> bool:
-        """Whether this sink can run the two-tier plan.
-
-        Lazy/holistic paths recompute from the row store each batch and
-        sample-weighted scaling aggregates (COUNT/SUM-style,
-        ``scales_with_m``) are re-finalized with a new ``ctx.scale``
-        every batch, so neither has a per-group fixed point to migrate;
-        non-scaling decomposable sketches (AVG-style) do.
-        """
-        return not self.needs_row_store and (
-            not self.sample_weighted
-            or all(not s.func.scales_with_m for s in self.sketch_specs)
-        )
 
     def process(self, delta: DeltaBatch, ctx: RuntimeContext) -> DeltaBatch:
         if not self.state.get("sketch_ready"):
@@ -181,10 +139,6 @@ class AggregateOp(SpineOp):
                 self.certain_groups.add(())
         cin, vin = delta.certain, delta.volatile
         ctx.metrics.shipped_bytes += cin.estimated_bytes() + vin.estimated_bytes()
-
-        rollup_on = ctx.config.rollup and self.rollup_eligible
-        if rollup_on:
-            self._demote_and_touch(ctx, cin, vin)
 
         self.sketch.fold(cin, self.group_by)
         if self.needs_row_store and len(cin):
@@ -231,92 +185,7 @@ class AggregateOp(SpineOp):
             )
 
         self._publish(ctx, per_group, exist_trials, exist_point)
-        if rollup_on:
-            self._migrate_quiescent(ctx)
         return DeltaBatch(self.empty(ctx), self.empty(ctx))
-
-    # -- rollup tier (repro.rollup) ----------------------------------------------------
-
-    def _batch_touched_keys(
-        self, ctx: RuntimeContext, cin: Relation, vin: Relation
-    ) -> list[GroupKey]:
-        """Distinct group keys receiving any contribution this batch."""
-        if not self.group_by:
-            return [()] if (len(cin) or len(vin)) else []
-        touched: dict[GroupKey, None] = {}
-        for rel in (cin, vin):
-            if not len(rel):
-                continue
-            if ctx.config.vectorize:
-                touched.update(
-                    dict.fromkeys(factorize_keys(rel, self.group_by).keys)
-                )
-            else:
-                touched.update(dict.fromkeys(rel.key_tuples(self.group_by)))
-        return list(touched)
-
-    def _demote_and_touch(
-        self, ctx: RuntimeContext, cin: Relation, vin: Relation
-    ) -> None:
-        """Fold touched (or, off the happy path, all) rollup groups back.
-
-        Runs before the batch's fold so reinsertion assigns into fresh
-        sketch rows the fold then accumulates onto. Touch-demotion is
-        the tier's structural flip detector; the conservative branch
-        (pruning valve tripped, or a recovery replay in flight) demotes
-        everything — resolved decisions are exactly what is no longer
-        trusted there.
-        """
-        rollup = self._rollup
-        tracker = self._quiesce
-        active = ctx.monitor.enabled and not ctx.monitor.replaying
-        touched = self._batch_touched_keys(ctx, cin, vin)
-        if len(rollup):
-            demote = (
-                [k for k in touched if k in rollup]
-                if active
-                else list(rollup.keys())
-            )
-            if demote:
-                rows = rollup.demote(demote)
-                self.sketch.reinsert_groups(rows)
-                tracker.forget(rows)
-                if ctx.obs.enabled:
-                    ctx.obs.metrics.counter(
-                        "rollup.demotions", op=self.label
-                    ).inc(len(rows))
-                self.state.put("rollup", rollup)
-                self.state.put("sketch", self.sketch)
-        if touched:
-            tracker.touch(touched, ctx.batch_no)
-            self.state.put("quiesce", tracker)
-
-    def _migrate_quiescent(self, ctx: RuntimeContext) -> None:
-        """Move quiescent resolved groups out of the hot path."""
-        if not (ctx.monitor.enabled and not ctx.monitor.replaying):
-            return
-        sketch = self.sketch
-        output = self._output
-        candidates = [
-            key
-            for key in self._quiesce.candidates(
-                list(sketch.key_to_gid), ctx.batch_no, ctx.config.rollup_quiesce
-            )
-            if key in output.groups
-        ]
-        if not candidates:
-            return
-        rollup = self._rollup
-        rows = sketch.extract_groups(candidates)
-        for key, accum in rows.items():
-            rollup.migrate(key, output.groups[key], accum, ctx.batch_no)
-        self._quiesce.forget(candidates)
-        if ctx.obs.enabled:
-            ctx.obs.metrics.counter("rollup.migrations", op=self.label).inc(
-                len(rows)
-            )
-        self.state.put("rollup", rollup)
-        self.state.put("sketch", sketch)
 
     # -- lazy / holistic paths ---------------------------------------------------------
 
@@ -420,24 +289,7 @@ class AggregateOp(SpineOp):
         exist_point: dict[GroupKey, bool],
     ) -> None:
         value_cols = [s.name for s in self.specs]
-        rollup_on = ctx.config.rollup and self.rollup_eligible
-        if rollup_on:
-            # Persistent output: hot groups overwrite in place (keeping
-            # their first-published position, which equals the rollup-off
-            # publication order), migrated groups ride along untouched,
-            # and the unstable tail (volatile-only keys, tombstones) is
-            # re-appended fresh each batch. This path is taken whenever
-            # the feature is on — even with no migrations yet — so the
-            # order cannot drift when the sketch is compacted/extended by
-            # a migrate/demote cycle mid-run.
-            output = self._output
-            output.version += 1
-            output.new_keys = []
-            for key in output.tail_keys:
-                output.groups.pop(key, None)
-            output.tail_keys = []
-        else:
-            output = BlockOutput(self.block_id, self.group_by, value_cols)
+        output = BlockOutput(self.block_id, self.group_by, value_cols)
         obs_on = ctx.obs.enabled
         width_hist = (
             ctx.obs.metrics.histogram("range.width", block=str(self.block_id))
@@ -503,11 +355,8 @@ class AggregateOp(SpineOp):
         # excluded) stay visible with empty existence, so downstream
         # lineage references keep resolving. Sorted so the tombstone order
         # (and hence the output's group iteration order) does not depend
-        # on set hashing. Migrated groups are published, just not
-        # recomputed — they are not tombstones.
+        # on set hashing.
         vanished = self._published_keys - set(per_group)
-        if rollup_on:
-            vanished -= set(self._rollup.entries)
         for key in sorted(vanished):
             tomb = self._tombstones.get(key)
             if tomb is None:
@@ -528,25 +377,6 @@ class AggregateOp(SpineOp):
                 self._tombstones[key] = tomb
             output.groups[key] = tomb
         ctx.metrics.nd_groups += len(per_group)
-        if rollup_on:
-            rollup = self._rollup
-            ctx.metrics.rollup_groups += len(rollup)
-            sketch_keys = self.sketch.key_to_gid
-            output.tail_keys = [
-                k for k in per_group if k not in sketch_keys
-            ] + sorted(vanished)
-            self.state.put("output", output)
-            if obs_on:
-                ctx.obs.metrics.gauge("rollup.groups", op=self.label).set(
-                    len(rollup)
-                )
-                ctx.obs.metrics.gauge("rollup.nd_groups", op=self.label).set(
-                    len(per_group)
-                )
-                if len(rollup):
-                    ctx.obs.metrics.counter("rollup.hits", op=self.label).inc(
-                        len(rollup)
-                    )
         if obs_on:
             ctx.obs.metrics.gauge("block.groups", op=self.label).set(
                 len(output.groups)

@@ -16,8 +16,8 @@ Operators never call into their children: :func:`drive_pipeline` walks
 the operator tree bottom-up, feeding each operator its inputs and
 recording per-operator wall time into ``BatchMetrics.op_seconds``. This
 keeps operator logic, state management, and scheduling in separate
-layers (the executor picks which pipelines run concurrently; the driver
-sequences operators within one pipeline).
+layers (the executor orders the pipelines; the driver sequences
+operators within one pipeline).
 """
 
 from __future__ import annotations
@@ -96,20 +96,11 @@ class StateRule:
 
     entries: frozenset[str] = frozenset()
     nd_entry: str | None = None
-    #: Entries that alias a published lineage block (e.g. the persistent
-    #: rollup-path block output): the race detector checks the backing
-    #: block is produced by the owning unit alone (RACE301).
-    block_backed: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.nd_entry is not None and self.nd_entry not in self.entries:
             raise ValueError(
                 f"nd_entry {self.nd_entry!r} missing from entries {set(self.entries)!r}"
-            )
-        if not set(self.block_backed) <= set(self.entries):
-            raise ValueError(
-                f"block_backed {set(self.block_backed)!r} not a subset of "
-                f"entries {set(self.entries)!r}"
             )
 
 

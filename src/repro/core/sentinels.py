@@ -34,7 +34,6 @@ staircase is the true earliest flip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -435,61 +434,6 @@ class MembershipSentinels:
 
     def estimated_bytes(self) -> int:
         return 56 * len(self.expected)
-
-
-class QuiescenceTracker:
-    """Last-contribution clocks guarding rollup-tier migration.
-
-    The sentinel layer's job is to guard resolved pruning decisions; this
-    tracker plays the same role for the rollup tier's *migration*
-    decision. A group may leave the hot path only once it is quiescent —
-    no certain or volatile contribution for ``rollup_quiesce``
-    consecutive batches — at which point its finalized value is a fixed
-    point of the per-batch recompute (the sums are untouched and
-    ``finalize`` is a pure function of them). The flip-detection analog
-    is structural rather than statistical: any later touch demotes the
-    group back to the sketch *before* the batch folds, so a migrated
-    value can never silently drift. Lives as the "quiesce" state entry
-    beside the rollup store and rides checkpoints with it.
-    """
-
-    def __init__(self) -> None:
-        self.last_touched: dict[tuple, int] = {}
-
-    def __deepcopy__(self, memo: dict) -> "QuiescenceTracker":
-        # Keys are immutable tuples and values are ints: a shallow dict
-        # copy is a correct snapshot, and checkpoint-sized faster.
-        clone = QuiescenceTracker()
-        memo[id(self)] = clone
-        clone.last_touched = dict(self.last_touched)
-        return clone
-
-    def touch(self, keys: "Iterable[tuple]", batch_no: int) -> None:
-        for key in keys:
-            self.last_touched[key] = batch_no
-
-    def candidates(
-        self, keys: "Iterable[tuple]", batch_no: int, quiesce: int
-    ) -> list[tuple]:
-        """Keys of ``keys`` untouched for ``quiesce`` whole batches."""
-        cutoff = batch_no - quiesce
-        return [
-            key for key in keys if self.last_touched.get(key, 0) <= cutoff
-        ]
-
-    def forget(self, keys: "Iterable[tuple]") -> None:
-        """Reset the clocks of demoted keys: they must re-quiesce."""
-        for key in keys:
-            self.last_touched.pop(key, None)
-
-    def reset(self) -> None:
-        self.last_touched.clear()
-
-    def __len__(self) -> int:
-        return len(self.last_touched)
-
-    def estimated_bytes(self) -> int:
-        return 56 * len(self.last_touched)
 
 
 def point_of_safe(value: object) -> float:

@@ -16,7 +16,6 @@ without touching the persistent sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,28 +25,6 @@ from repro.relational.groupby import group_ids
 from repro.relational.relation import Relation
 
 GroupKey = tuple
-
-
-@dataclass
-class SketchRow:
-    """One group's sum row, detached from the bundle's tables.
-
-    The unit of tier migration: :meth:`AggBundle.extract_groups` hands
-    these to the rollup store, and :meth:`AggBundle.reinsert_groups`
-    folds them back verbatim on demotion, so a migrate/demote round trip
-    is bit-exact.
-    """
-
-    weight: float
-    trial_weight: np.ndarray  # (T,)
-    sums: list[np.ndarray]  # per spec, (k,)
-    trial_sums: list[np.ndarray]  # per spec, (T, k)
-
-    def estimated_bytes(self) -> int:
-        nbytes = 8 + int(self.trial_weight.nbytes)
-        nbytes += sum(int(a.nbytes) for a in self.sums)
-        nbytes += sum(int(a.nbytes) for a in self.trial_sums)
-        return nbytes
 
 
 class AggBundle:
@@ -196,57 +173,6 @@ class AggBundle:
             g,
             (trial_values * trial_mults)[:, :, None],
         )
-
-    # -- tier migration ----------------------------------------------------------------
-
-    def extract_groups(
-        self, keys: Sequence[GroupKey]
-    ) -> dict[GroupKey, "SketchRow"]:
-        """Remove ``keys`` from the sketch, returning their sum rows.
-
-        The extracted rows are private copies (the rollup tier owns them
-        across batches); the surviving groups are compacted in key order,
-        so re-folding never scatters into a hole. Inverse:
-        :meth:`reinsert_groups`.
-        """
-        wanted = set(keys)
-        rows: dict[GroupKey, SketchRow] = {}
-        for key in keys:
-            gid = self.key_to_gid[key]
-            rows[key] = SketchRow(
-                weight=float(self.weight[gid]),
-                trial_weight=self.trial_weight[gid].copy(),
-                sums=[a[gid].copy() for a in self.sums],
-                trial_sums=[a[gid].copy() for a in self.trial_sums],
-            )
-        g = len(self.keys)
-        keep = np.array(
-            [k not in wanted for k in self.keys], dtype=bool
-        )
-        self.keys = [k for k in self.keys if k not in wanted]
-        self.key_to_gid = {k: i for i, k in enumerate(self.keys)}
-        self.weight = self.weight[:g][keep]
-        self.trial_weight = self.trial_weight[:g][keep]
-        self.sums = [a[:g][keep] for a in self.sums]
-        self.trial_sums = [a[:g][keep] for a in self.trial_sums]
-        return rows
-
-    def reinsert_groups(self, rows: dict[GroupKey, "SketchRow"]) -> None:
-        """Put extracted sum rows back (demotion from the rollup tier).
-
-        Assignment, not accumulation: the sketch must not already hold
-        the keys (they were extracted, and demotion runs before the
-        batch's fold touches them again).
-        """
-        if not rows:
-            return
-        gids = self._ensure_groups(list(rows))
-        for gid, row in zip(gids, rows.values()):
-            self.weight[gid] = row.weight
-            self.trial_weight[gid] = row.trial_weight
-            for s in range(len(self.specs)):
-                self.sums[s][gid] = row.sums[s]
-                self.trial_sums[s][gid] = row.trial_sums[s]
 
     # -- finalize ----------------------------------------------------------------------
 

@@ -84,43 +84,12 @@ class SmallBlockLeaf(SmallNode):
 
     def __init__(self, block_id: int):
         self.block_id = block_id
-        #: Identity-keyed URow cache (rollup runs): a rollup-tier group's
-        #: ``GroupValue`` is the same object batch over batch, so its
-        #: URow can be reused instead of re-materializing the values
-        #: dict per batch — which would keep the small-segment cost
-        #: proportional to the total group count. ``key -> (group, urow)``;
-        #: a hit requires the cached group *identity*, so any republished
-        #: group misses. Downstream small nodes never mutate a leaf URow
-        #: in place (selects ``replace``, projects/joins build new dicts),
-        #: which is what makes reuse safe.
-        self._urow_cache: dict[tuple, tuple[object, URow]] = {}
 
     def rows(self, ctx: RuntimeContext) -> list[URow]:
         output = ctx.blocks.get(self.block_id)
         if output is None:
             return []
         out = []
-        if ctx.config.rollup:
-            cache = self._urow_cache
-            fresh: dict[tuple, tuple[object, URow]] = {}
-            for key, group in output.groups.items():
-                hit = cache.get(key)
-                if hit is not None and hit[0] is group:
-                    urow = hit[1]
-                else:
-                    urow = URow(
-                        dict(group.values),
-                        certain=group.certain,
-                        member_status=(
-                            MEMBER_TRUE if group.certain else MEMBER_UNKNOWN
-                        ),
-                        member_point=group.member_point,
-                        exist_trials=group.exist_trials,
-                    )
-                fresh[key] = (group, urow)
-                out.append(urow)
-            self._urow_cache = fresh
-            return out
         for group in output.groups.values():
             out.append(
                 URow(

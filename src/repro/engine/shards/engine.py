@@ -19,8 +19,8 @@ Merge discipline (the PR 1/3 determinism contract, extended):
   their full per-trial arrays across the pipe, nothing is collapsed
   before the merge;
 * **metrics merge in shard-index order** via
-  :meth:`BatchMetrics.merge_from`, exactly like the parallel executor's
-  unit-index-ordered scratch merges.
+  :meth:`BatchMetrics.merge_from`, so the totals do not depend on which
+  shard answers first.
 
 The ``shard`` fault kind is handled here: before dispatching a batch the
 scheduler claims ``shard@batch:index`` faults, kills the targeted worker
@@ -38,7 +38,7 @@ from repro.batching.partitioner import Partitioner
 from repro.core.blocks import OnlineConfig
 from repro.core.compiler import compile_online
 from repro.core.result import PartialResult, _key
-from repro.engine.executor import BatchExecutor, SerialExecutor
+from repro.engine.executor import check_executor
 from repro.engine.shards.envelope import (
     BatchTask,
     InitTask,
@@ -109,23 +109,17 @@ class ShardedQueryEngine:
         streamed_table: str,
         config: OnlineConfig | None = None,
         partition_mode: str = "shuffle",
-        executor: str | BatchExecutor = "serial",
+        # Kept because the benchmark harness passes executor="serial".
+        executor: str = "serial",
         obs=None,
     ):
+        check_executor(executor)
         self.catalog = catalog
         self.streamed_table = streamed_table
         self.config = config if config is not None else OnlineConfig()
         self.partition_mode = partition_mode
-        #: Executor spec forwarded to the workers (and to the fallback
-        #: engine). Instances cannot cross the process boundary, so only
-        #: names are forwarded; an instance forces single-process mode.
-        self._executor_spec = executor
         self.obs = obs if obs is not None else NULL_OBS
         self.metrics = RunMetrics()
-        #: The scheduler itself runs no units; a no-op executor keeps the
-        #: OnlineQueryEngine facade (``engine.executor.close()``) intact.
-        #: The fallback path swaps in the inner engine's executor.
-        self.executor: BatchExecutor = SerialExecutor()
         self.profiler = None
         #: The ShardPlan of the most recent run (None before any run).
         self.shard_plan: ShardPlan | None = None
@@ -150,13 +144,9 @@ class ShardedQueryEngine:
         shard_plan = analyze_shardability(plan, self.streamed_table)
         self.shard_plan = shard_plan
         tracer = self.obs.tracer
-        if (
-            self.shards <= 1
-            or not shard_plan.shardable
-            or isinstance(self._executor_spec, BatchExecutor)
-        ):
+        if self.shards <= 1 or not shard_plan.shardable:
             if self.shards > 1:
-                reason = shard_plan.reason or "executor instance pinned"
+                reason = shard_plan.reason
                 tracer.warning(
                     "shard-fallback",
                     message=f"plan is not shardable ({reason}); running "
@@ -193,10 +183,8 @@ class ShardedQueryEngine:
             self.streamed_table,
             config=self.config,
             partition_mode=self.partition_mode,
-            executor=self._executor_spec,
             obs=self.obs,
         )
-        self.executor = inner.executor
         self.metrics = inner.metrics
         for partial in inner.run(plan, num_batches, batch_rows=batch_rows):
             self.metrics = inner.metrics
@@ -251,7 +239,6 @@ class ShardedQueryEngine:
                 config=self.config,
                 num_batches=len(batch_sizes),
                 partition_mode=self.partition_mode,
-                executor=self._executor_spec,
                 shard=ShardSpec(
                     index=s, count=self.shards, key=shard_plan.shard_key
                 ),

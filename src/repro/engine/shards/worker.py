@@ -91,7 +91,6 @@ class ShardWorkerEngine(OnlineQueryEngine):
         streamed_table: str,
         config: OnlineConfig,
         partition_mode: str,
-        executor: str,
         shard: ShardSpec,
     ):
         super().__init__(
@@ -99,7 +98,6 @@ class ShardWorkerEngine(OnlineQueryEngine):
             streamed_table,
             config=config,
             partition_mode=partition_mode,
-            executor=executor,
         )
         self.shard = shard
         self.checkpoint_namespace = f"shard{shard.index}"
@@ -123,7 +121,6 @@ def worker_main(conn, init: InitTask) -> None:
             init.streamed_table,
             init.config,
             init.partition_mode,
-            init.executor,
             init.shard,
         )
         session = engine.open_run(init.plan, init.num_batches)

@@ -91,9 +91,8 @@ class ContractViolationError(ReproError):
     Raised by :class:`repro.analysis.verify.ContractVerifier` when an
     operator breaks a contract the executor relies on: mutating its input
     :class:`~repro.core.operators.DeltaBatch` or the installed streamed
-    delta, growing state entries outside its declared
-    :class:`~repro.state.StateStore` names, or two threads of one
-    ParallelExecutor wave touching the same store entry.
+    delta, or growing state entries outside its declared
+    :class:`~repro.state.StateStore` names.
     """
 
 
@@ -101,10 +100,9 @@ class SanitizerViolationError(ReproError):
     """The runtime buffer sanitizer caught an aliasing race (``--sanitize``).
 
     Raised by :class:`repro.analysis.sanitize.BufferSanitizer` when an
-    operator writes in place into a frozen zero-copy buffer (``SAN001``),
-    a read-only memmapped :class:`~repro.storage.DiskTable` chunk
-    (``SAN002``), or when one base buffer is write-claimed from two
-    threads within a single batch (``SAN003``). Carries the rule id, the
+    operator writes in place into a frozen zero-copy buffer (``SAN001``)
+    or a read-only memmapped :class:`~repro.storage.DiskTable` chunk
+    (``SAN002``). Carries the rule id, the
     writing operator's label, and the buffer's original owner(s).
     """
 

@@ -11,7 +11,7 @@ probed from three seams:
   consistent). Guarded against firing during a recovery replay — a raise
   there would escape the controller's handler, and re-faulting the replay
   of an already-faulted batch would livelock recovery.
-* **unit** — also via :meth:`fire`, from the executors *before* the unit
+* **unit** — also via :meth:`fire`, from the executor *before* the unit
   body runs: raises a :class:`~repro.errors.TransientUnitError`, which
   the executor's retry policy absorbs (so a fault with ``*times`` up to
   ``OnlineConfig.unit_retry_attempts`` is invisible in the results).
@@ -19,14 +19,11 @@ probed from three seams:
   checkpoint: returns True when the checkpoint should be corrupted
   (exercising recovery's fall-back to the next-older snapshot).
 
-Every probe is threadsafe (the parallel executor probes from worker
-threads); a fired spec decrements its remaining count under the lock, so
-``times`` is honored globally, not per thread.
+A fired spec decrements its remaining count, so ``times`` is honored
+across every probe of the run.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.errors import RangeIntegrityError, ReproError, TransientUnitError
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -37,7 +34,6 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._lock = threading.Lock()
         self._remaining = [spec.times for spec in plan.specs]
         #: Log of fired faults (spec, batch) in firing order, for tests
         #: and the trace timeline.
@@ -45,19 +41,18 @@ class FaultInjector:
 
     def claim(self, kind: str, batch: int, label: str | None = None) -> bool:
         """Consume one armed firing matching (kind, batch, label)."""
-        with self._lock:
-            for i, spec in enumerate(self.plan.specs):
-                if spec.kind != kind or self._remaining[i] <= 0:
-                    continue
-                if spec.batch != batch:
-                    continue
-                if spec.target is not None and (
-                    label is None or spec.target not in label
-                ):
-                    continue
-                self._remaining[i] -= 1
-                self.fired.append((spec, batch))
-                return True
+        for i, spec in enumerate(self.plan.specs):
+            if spec.kind != kind or self._remaining[i] <= 0:
+                continue
+            if spec.batch != batch:
+                continue
+            if spec.target is not None and (
+                label is None or spec.target not in label
+            ):
+                continue
+            self._remaining[i] -= 1
+            self.fired.append((spec, batch))
+            return True
         return False
 
     def fire(self, point: str, ctx, label: str | None = None) -> None:
@@ -82,5 +77,4 @@ class FaultInjector:
 
     def exhausted(self) -> bool:
         """True once every armed firing has been consumed."""
-        with self._lock:
-            return not any(self._remaining)
+        return not any(self._remaining)

@@ -31,7 +31,6 @@ online operators may import it without cycles.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
@@ -186,25 +185,21 @@ def _factorize_relation(rel, names: Sequence[str]) -> KeyCodes:
 
 
 #: rel -> {key-column tuple -> KeyCodes}. Weak keys: codes die with the
-#: relation. Lock-guarded for the parallel executor (a lost race rebuilds
-#: once and keeps a single entry).
+#: relation.
 _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_LOCK = threading.Lock()
 
 
 def factorize_keys(rel, names: Sequence[str]) -> KeyCodes:
     """Memoized key codes of ``rel`` over key columns ``names``."""
     cache_key = tuple(names)
-    with _LOCK:
-        per_rel = _CACHE.get(rel)
-        entry = None if per_rel is None else per_rel.get(cache_key)
+    per_rel = _CACHE.get(rel)
+    entry = None if per_rel is None else per_rel.get(cache_key)
     if entry is not None:
         STATS.inc("codec_hits")
         return entry
     STATS.inc("codec_misses")
     kc = _factorize_relation(rel, names)
-    with _LOCK:
-        _CACHE.setdefault(rel, {}).setdefault(cache_key, kc)
+    _CACHE.setdefault(rel, {})[cache_key] = kc
     return kc
 
 

@@ -14,7 +14,6 @@ and garbage-collected with their output (weak keys).
 
 from __future__ import annotations
 
-import threading
 import weakref
 
 import numpy as np
@@ -49,7 +48,6 @@ class GroupTable:
             self.member_point[slot] = group.member_point
         self._exist: np.ndarray | None = None
         self._pools: dict[tuple, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def probe(self, keys: list[tuple]) -> np.ndarray:
         """Slot per key; ``-1`` where the key has not been published."""
@@ -60,25 +58,23 @@ class GroupTable:
 
     def exist_matrix(self, num_trials: int) -> np.ndarray:
         """(G, T) per-trial existence, built once per table."""
-        with self._lock:
-            if self._exist is None or self._exist.shape[1] != num_trials:
-                mat = np.empty((len(self.groups), num_trials), dtype=bool)
-                for slot, group in enumerate(self.groups):
-                    mat[slot] = group.exist_in_trial(num_trials)
-                self._exist = mat
-            return self._exist
+        if self._exist is None or self._exist.shape[1] != num_trials:
+            mat = np.empty((len(self.groups), num_trials), dtype=bool)
+            for slot, group in enumerate(self.groups):
+                mat[slot] = group.exist_in_trial(num_trials)
+            self._exist = mat
+        return self._exist
 
     def value_pool(self, name: str, dtype: np.dtype) -> np.ndarray:
         """(G,) array of each group's deterministic value of ``name``."""
         key = ("value", name, str(dtype))
-        with self._lock:
-            pool = self._pools.get(key)
-            if pool is None:
-                pool = np.empty(len(self.groups), dtype=dtype)
-                for slot, group in enumerate(self.groups):
-                    pool[slot] = group.values[name]
-                self._pools[key] = pool
-            return pool
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = np.empty(len(self.groups), dtype=dtype)
+            for slot, group in enumerate(self.groups):
+                pool[slot] = group.values[name]
+            self._pools[key] = pool
+        return pool
 
     def ref_pool(self, side_id: int, name: str, make_ref) -> np.ndarray:
         """(G,) object array of lineage refs into column ``name``.
@@ -88,39 +84,24 @@ class GroupTable:
         group is indistinguishable from the reference's per-row objects.
         """
         key = ("ref", side_id, name)
-        with self._lock:
-            pool = self._pools.get(key)
-            if pool is None:
-                pool = np.empty(len(self.groups), dtype=object)
-                for slot, group in enumerate(self.groups):
-                    pool[slot] = make_ref(side_id, group.key, name)
-                self._pools[key] = pool
-            return pool
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = np.empty(len(self.groups), dtype=object)
+            for slot, group in enumerate(self.groups):
+                pool[slot] = make_ref(side_id, group.key, name)
+            self._pools[key] = pool
+        return pool
 
 
 _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_LOCK = threading.Lock()
 
 
 def group_table(view) -> GroupTable:
-    """Memoized :class:`GroupTable` of a published block output.
-
-    Keyed by output identity *and* publish version: the rollup publish
-    path mutates one persistent ``BlockOutput`` in place across batches
-    (bumping ``version`` each cycle), so identity alone would serve a
-    stale flattening of the previous batch.
-    """
-    version = getattr(view, "version", 0)
-    with _LOCK:
-        hit = _CACHE.get(view)
-    if hit is not None and hit[0] == version:
+    """Memoized :class:`GroupTable` of a published block output."""
+    table = _CACHE.get(view)
+    if table is not None:
         STATS.inc("view_table_hits")
-        return hit[1]
+        return table
     STATS.inc("view_table_misses")
-    table = GroupTable(view)
-    with _LOCK:
-        cached = _CACHE.get(view)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        _CACHE[view] = (version, table)
+    table = _CACHE[view] = GroupTable(view)
     return table

@@ -9,10 +9,9 @@ silently changing the artifact shape.
 
 Versioning: the validators accept the current version *and* the
 immediately preceding one (archived artifacts outlive engine releases),
-each against its own frozen field set. v2 -> v3 added the continuous
-profiler / cost-model fields (``predicted_seconds`` per batch,
-``profile_seconds`` + ``cost_calibration`` per run); v3 -> v4 added the
-rollup-tier group split (``rollup_groups``/``nd_groups`` per batch).
+each against its own frozen field set. v3 -> v4 added the per-batch
+group counts; v4 -> v5 dropped the count of groups served from the
+removed resolved-group tier, keeping ``nd_groups``.
 """
 
 from __future__ import annotations
@@ -20,12 +19,12 @@ from __future__ import annotations
 from typing import Any
 
 #: Bump whenever a field is added/removed/retyped in either dict below.
-RUN_METRICS_SCHEMA_VERSION = 4
+RUN_METRICS_SCHEMA_VERSION = 5
 
 _NUMBER = (int, float)
 
-#: Field name -> accepted types, one ``BatchMetrics.to_dict()`` (v3 set).
-BATCH_METRICS_FIELDS_V3: dict[str, tuple[type, ...]] = {
+#: Field name -> accepted types, for one ``BatchMetrics.to_dict()``.
+BATCH_METRICS_FIELDS: dict[str, tuple[type, ...]] = {
     "batch_no": (int,),
     "wall_seconds": _NUMBER,
     "unit_seconds": _NUMBER,
@@ -38,17 +37,18 @@ BATCH_METRICS_FIELDS_V3: dict[str, tuple[type, ...]] = {
     "recovered": (bool,),
     "recovery_seconds": _NUMBER,
     "predicted_seconds": _NUMBER,
-}
-
-#: Field name -> accepted types, for one ``BatchMetrics.to_dict()``.
-BATCH_METRICS_FIELDS: dict[str, tuple[type, ...]] = {
-    **BATCH_METRICS_FIELDS_V3,
-    "rollup_groups": (int,),
     "nd_groups": (int,),
 }
 
-#: Field name -> accepted types, one ``RunMetrics.to_dict()`` (v3 set).
-RUN_METRICS_FIELDS_V3: dict[str, tuple[type, ...]] = {
+#: Field name -> accepted types, one ``BatchMetrics.to_dict()`` (v4 set).
+BATCH_METRICS_FIELDS_V4: dict[str, tuple[type, ...]] = {
+    **BATCH_METRICS_FIELDS,
+    "rollup_groups": (int,),
+}
+
+#: Field name -> accepted types, for one ``RunMetrics.to_dict()``.
+#: The v4 -> v5 bump changed only batch-level fields.
+RUN_METRICS_FIELDS: dict[str, tuple[type, ...]] = {
     "schema_version": (int,),
     "num_batches": (int,),
     "total_seconds": _NUMBER,
@@ -65,15 +65,9 @@ RUN_METRICS_FIELDS_V3: dict[str, tuple[type, ...]] = {
     "cost_calibration": (dict,),
 }
 
-#: Field name -> accepted types, for one ``RunMetrics.to_dict()``.
-#: The v3 -> v4 bump added only batch-level fields.
-RUN_METRICS_FIELDS: dict[str, tuple[type, ...]] = {
-    **RUN_METRICS_FIELDS_V3,
-}
-
 _FIELDS_BY_VERSION: dict[int, tuple[dict, dict]] = {
-    3: (RUN_METRICS_FIELDS_V3, BATCH_METRICS_FIELDS_V3),
-    4: (RUN_METRICS_FIELDS, BATCH_METRICS_FIELDS),
+    4: (RUN_METRICS_FIELDS, BATCH_METRICS_FIELDS_V4),
+    5: (RUN_METRICS_FIELDS, BATCH_METRICS_FIELDS),
 }
 
 
@@ -125,8 +119,8 @@ def validate_run_metrics(data: Any) -> None:
     """Validate a full ``RunMetrics.to_dict()`` artifact (recursively).
 
     Accepts the current schema version and the previous one; every
-    version is checked against its own frozen field set, so a v2
-    artifact with v3 fields (or vice versa) still fails.
+    version is checked against its own frozen field set, so a v4
+    artifact shaped like v5 (or vice versa) still fails.
     """
     if not isinstance(data, dict):
         raise ValueError("run metrics must be a JSON object")

@@ -19,13 +19,11 @@ class BatchMetrics:
 
     batch_no: int
     #: True elapsed wall-clock seconds of the batch (incl. bootstrap).
-    #: Owned by the controller, which stamps it once per batch; executors
-    #: never write it, so parallel unit times cannot inflate it.
+    #: Owned by the controller, which stamps it once per batch.
     wall_seconds: float = 0.0
-    #: Sum of per-execution-unit elapsed seconds (the CPU-occupancy view).
-    #: Under the serial executor this is ~``wall_seconds`` minus engine
-    #: overhead; under the parallel executor concurrent units overlap, so
-    #: ``wall_seconds <= unit_seconds`` on a multi-unit batch.
+    #: Sum of per-execution-unit elapsed seconds: ``wall_seconds`` minus
+    #: the engine overhead outside the units (bootstrap, checkpoints).
+    #: Merged shard metrics sum the workers' unit time.
     unit_seconds: float = 0.0
     #: Rows newly ingested from the streamed table this batch.
     new_tuples: int = 0
@@ -47,12 +45,8 @@ class BatchMetrics:
     #: off or the model was still warming up). Compared against
     #: ``wall_seconds - recovery_seconds`` for calibration.
     predicted_seconds: float = 0.0
-    #: Groups served from the resolved-rollup tier this batch, summed
-    #: over aggregate sinks (0 with ``rollup=False``). The Fig. 10 claim
-    #: in one number: ``nd_groups`` stays flat while this grows.
-    rollup_groups: int = 0
-    #: Groups recomputed in the hot per-batch loop (the live ND set plus
-    #: not-yet-quiescent groups), summed over aggregate sinks.
+    #: Groups recomputed by the aggregate sinks this batch, summed over
+    #: sinks.
     nd_groups: int = 0
 
     def reset_attempt(self) -> None:
@@ -73,7 +67,6 @@ class BatchMetrics:
         self.shipped_bytes = 0
         self.state_bytes = {}
         self.op_seconds = {}
-        self.rollup_groups = 0
         self.nd_groups = 0
 
     def add_state(self, label: str, nbytes: int) -> None:
@@ -85,15 +78,13 @@ class BatchMetrics:
     def merge_from(self, other: "BatchMetrics") -> None:
         """Fold another batch's counters into this one.
 
-        The parallel executor gives each execution unit a scratch
-        ``BatchMetrics`` and merges them in unit order once the batch
-        completes, so concurrent units never contend on shared counters
-        and the merged totals are deterministic.
+        The shard scheduler merges each worker's batch metrics in
+        shard-index order, so the merged totals are deterministic.
 
-        ``wall_seconds`` is deliberately *not* merged: summing concurrent
-        units' elapsed time would inflate it past the true batch latency.
-        Per-unit time folds into ``unit_seconds`` instead; the controller
-        stamps ``wall_seconds`` with the real batch elapsed time.
+        ``wall_seconds`` is deliberately *not* merged: summing the
+        workers' elapsed time would inflate it past the true batch
+        latency. Per-unit time folds into ``unit_seconds`` instead; the
+        scheduler stamps ``wall_seconds`` with the real batch elapsed time.
         """
         self.unit_seconds += other.unit_seconds
         self.new_tuples += other.new_tuples
@@ -105,7 +96,6 @@ class BatchMetrics:
             self.add_op_seconds(label, seconds)
         self.recovered = self.recovered or other.recovered
         self.recovery_seconds += other.recovery_seconds
-        self.rollup_groups += other.rollup_groups
         self.nd_groups += other.nd_groups
 
     @property
@@ -129,7 +119,6 @@ class BatchMetrics:
             "recovered": self.recovered,
             "recovery_seconds": self.recovery_seconds,
             "predicted_seconds": self.predicted_seconds,
-            "rollup_groups": self.rollup_groups,
             "nd_groups": self.nd_groups,
         }
 
@@ -148,9 +137,9 @@ class RunMetrics:
     #: analyzer's fixed per-query cost is visible next to execution time.
     analysis_seconds: float = 0.0
     #: Wall seconds spent inside the runtime buffer sanitizer
-    #: (``OnlineConfig(sanitize=True)``): buffer freezes, provenance
-    #: tracking, and cross-thread access-log checks. Exactly 0.0 when
-    #: sanitizing is off — the perf suite asserts the zero-cost claim.
+    #: (``OnlineConfig(sanitize=True)``): buffer freezes and provenance
+    #: tracking. Exactly 0.0 when sanitizing is off — the perf suite
+    #: asserts the zero-cost claim.
     sanitize_seconds: float = 0.0
     #: Wall seconds spent inside the continuous profiler + cost model
     #: (``OnlineConfig(profile=True)``): per-batch profile folds,
@@ -174,7 +163,7 @@ class RunMetrics:
     @property
     def total_unit_seconds(self) -> float:
         """Summed per-unit elapsed time (CPU-occupancy view; exceeds
-        ``total_seconds`` when the parallel executor overlaps units)."""
+        ``total_seconds`` when shard workers run in parallel)."""
         return sum(b.unit_seconds for b in self.batches)
 
     @property

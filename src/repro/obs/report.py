@@ -20,8 +20,9 @@ from typing import Any, Iterable
 from repro.obs.events import read_events
 
 #: Bump whenever a field is added/removed/retyped in ``REPORT_FIELDS``.
-#: v1 -> v2 added the rollup-tier summary field.
-REPORT_SCHEMA_VERSION = 2
+#: v1 -> v2 added a group-tier summary field; v2 -> v3 dropped it again
+#: and renamed the per-span-name totals to ``span_totals``.
+REPORT_SCHEMA_VERSION = 3
 
 _NUMBER = (int, float)
 
@@ -32,13 +33,12 @@ REPORT_FIELDS: dict[str, tuple[type, ...]] = {
     "by_kind": (dict,),
     "num_batches": (int,),
     "run_seconds": _NUMBER,
-    "span_rollup": (list,),
+    "span_totals": (list,),
     "slowest_spans": (list,),
     "state_series": (dict,),
     "recovery": (list,),
     "warning_counts": (dict,),
     "convergence": (list,),
-    "rollup": (dict,),
 }
 
 
@@ -67,9 +67,9 @@ def validate_report(data: Any) -> None:
             raise ValueError(
                 f"report field {name!r} has type {type(value).__name__}"
             )
-    for row in data["span_rollup"]:
+    for row in data["span_totals"]:
         if set(row) != {"name", "count", "total_seconds", "max_seconds"}:
-            raise ValueError(f"bad span_rollup row {sorted(row)}")
+            raise ValueError(f"bad span_totals row {sorted(row)}")
     for row in data["slowest_spans"]:
         if set(row) != {"name", "detail", "track", "batch", "ts", "seconds"}:
             raise ValueError(f"bad slowest_spans row {sorted(row)}")
@@ -129,7 +129,7 @@ class TraceSummary:
     def num_batches(self) -> int:
         return sum(1 for s in self.spans if s["name"] == "batch")
 
-    def span_rollup(self) -> list[tuple[str, int, float, float]]:
+    def span_totals(self) -> list[tuple[str, int, float, float]]:
         """(name, count, total dur, max dur) sorted by total dur desc."""
         acc: dict[str, tuple[int, float, float]] = {}
         for span in self.spans:
@@ -154,47 +154,6 @@ class TraceSummary:
             name: samples
             for name, samples in self.counters.items()
             if name.startswith("state.")
-        }
-
-    def rollup_summary(self) -> dict:
-        """Resolved/ND group split and tier hit rate of the run.
-
-        Sums the per-op ``rollup.*`` series: the gauges
-        ``rollup.groups``/``rollup.nd_groups`` are sampled once per batch
-        (so their sample sums are group-batches served from each tier)
-        and the ``hits``/``migrations``/``demotions`` counters are
-        monotone (so their last samples are run totals). Empty when the
-        run had no rollup series (``rollup=False`` or no eligible sink).
-        """
-        served = hot = hits = migrations = demotions = 0.0
-        found = False
-        for key, samples in self.counters.items():
-            base = key.split("{", 1)[0]
-            if not base.startswith("rollup."):
-                continue
-            found = True
-            if not samples:
-                continue
-            if base == "rollup.groups":
-                served += sum(v for _, v in samples)
-            elif base == "rollup.nd_groups":
-                hot += sum(v for _, v in samples)
-            elif base == "rollup.hits":
-                hits += samples[-1][1]
-            elif base == "rollup.migrations":
-                migrations += samples[-1][1]
-            elif base == "rollup.demotions":
-                demotions += samples[-1][1]
-        if not found:
-            return {}
-        total = served + hot
-        return {
-            "served_group_batches": served,
-            "hot_group_batches": hot,
-            "hits": hits,
-            "migrations": migrations,
-            "demotions": demotions,
-            "hit_rate": served / total if total else 0.0,
         }
 
     def recovery_events(self) -> list[dict]:
@@ -240,14 +199,14 @@ class TraceSummary:
             "by_kind": dict(sorted(self.by_kind.items())),
             "num_batches": self.num_batches(),
             "run_seconds": self.run_duration(),
-            "span_rollup": [
+            "span_totals": [
                 {
                     "name": name,
                     "count": count,
                     "total_seconds": total,
                     "max_seconds": peak,
                 }
-                for name, count, total, peak in self.span_rollup()
+                for name, count, total, peak in self.span_totals()
             ],
             "slowest_spans": [
                 {
@@ -276,7 +235,6 @@ class TraceSummary:
             ],
             "warning_counts": warning_counts,
             "convergence": convergence,
-            "rollup": self.rollup_summary(),
         }
 
 
@@ -298,11 +256,11 @@ def render_report(summary: TraceSummary, top: int = 10) -> str:
         f"run: {summary.run_duration()*1000:.1f} ms"
     )
 
-    rollup = summary.span_rollup()
-    if rollup:
+    totals = summary.span_totals()
+    if totals:
         out.append("")
         out.append("== where the time went (span totals) ==")
-        for name, count, total, peak in rollup[:top]:
+        for name, count, total, peak in totals[:top]:
             out.append(
                 f"  {name:<16} x{count:<5} total {total*1000:9.1f} ms   "
                 f"max {peak*1000:8.1f} ms"
@@ -328,20 +286,6 @@ def render_report(summary: TraceSummary, top: int = 10) -> str:
                 f"  {name:<48} {values[0]:12,.0f} -> {max(values):12,.0f} "
                 f"-> {values[-1]:12,.0f}"
             )
-
-    tiers = summary.rollup_summary()
-    if tiers:
-        out.append("")
-        out.append("== rollup tier (resolved vs ND group-batches) ==")
-        out.append(
-            f"  served from rollup: {tiers['served_group_batches']:12,.0f}   "
-            f"recomputed hot: {tiers['hot_group_batches']:12,.0f}   "
-            f"hit rate {tiers['hit_rate']*100:5.1f}%"
-        )
-        out.append(
-            f"  migrations: {tiers['migrations']:,.0f}   "
-            f"demotions: {tiers['demotions']:,.0f}"
-        )
 
     recovery = summary.recovery_events()
     out.append("")

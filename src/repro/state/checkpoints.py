@@ -111,19 +111,9 @@ class CheckpointManager:
         return None
 
     @staticmethod
-    def restore(registry: StateRegistry, snapshot: dict[str, object]) -> int:
-        """Apply a snapshot, then invalidate restored rollup entries.
-
-        Replaying past a migration point must not trust migrated
-        accumulators — any replayed batch could touch them — so every
-        restored rollup entry is demoted back into its operator's sketch
-        before the replay starts. Returns the demoted group count
-        (surfaced as the ``rollup.demotions`` counter by the caller).
-        """
-        from repro.rollup import demote_restored_rollups
-
+    def restore(registry: StateRegistry, snapshot: dict[str, object]) -> None:
+        """Apply a snapshot to every operator store of ``registry``."""
         registry.restore(snapshot)
-        return demote_restored_rollups(registry)
 
     def drop_after(self, batch_no: int) -> int:
         """Invalidate checkpoints newer than ``batch_no``.

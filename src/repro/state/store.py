@@ -47,12 +47,6 @@ def estimate_nbytes(value: object, seen: set[int] | None = None) -> int:
         return value.estimated_bytes()
     own = getattr(value, "estimated_bytes", None)
     if callable(own):
-        # Objects marked seen-aware (block outputs, rollup stores) share
-        # structure across entries — a migrated group's GroupValue is
-        # referenced by both the "rollup" and "output" entries — and take
-        # the traversal's seen-set so the shared objects count once.
-        if getattr(value, "nbytes_seen_aware", False):
-            return int(own(seen))
         return int(own())
     if isinstance(value, np.ndarray):
         if value.dtype == object:
@@ -201,23 +195,17 @@ class StateStore:
 class InMemoryStateStore(StateStore):
     """Dict-backed store: the default (and currently only) backend.
 
-    An optional *write observer* (``callable(key)``) is invoked on every
-    ``put``/``delete``; the ``--verify`` contract checker installs one to
-    attribute store writes to operators and threads. ``None`` (the
-    default) costs one attribute read per write.
-
-    Store *identity* is part of the engine's concurrency contract: each
+    Store *identity* is part of the engine's single-writer contract: each
     operator owns exactly one store instance (adopted into the registry
     under the operator's label), so the static race detector
     (``iolap analyze --races``) keys its effect summaries by
     ``id(store)`` — two execution units sharing one instance is exactly
-    the single-writer violation RACE001/RACE101 report.
+    the single-writer violation RACE001 reports.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, object] = {}
         self._static: set[str] = set()
-        self.observer: Any = None
         self.writes = 0
         #: ``entry_bytes`` memo, keyed by the mutation counter: the
         #: observability layer sizes every store once per batch for the
@@ -233,8 +221,6 @@ class InMemoryStateStore(StateStore):
 
     def put(self, key: str, value: object, static: bool = False) -> None:
         self.writes += 1
-        if self.observer is not None:
-            self.observer(key)
         self._entries[key] = value
         if static:
             self._static.add(key)
@@ -243,8 +229,6 @@ class InMemoryStateStore(StateStore):
 
     def delete(self, key: str) -> None:
         self.writes += 1
-        if self.observer is not None:
-            self.observer(key)
         self._entries.pop(key, None)
         self._static.discard(key)
 
@@ -273,9 +257,8 @@ class InMemoryStateStore(StateStore):
 
     def checkpoint(self) -> object:
         # One deepcopy memo across entries: objects shared between
-        # entries (a GroupValue referenced by both the rollup tier and
-        # the block output) stay shared in the snapshot, preserving both
-        # the aliasing semantics and the deduplicated byte accounting.
+        # entries stay shared in the snapshot, preserving both the
+        # aliasing semantics and the deduplicated byte accounting.
         memo: dict[int, object] = {}
         entries = {
             k: (v if k in self._static else copy.deepcopy(v, memo))

@@ -39,9 +39,9 @@ def conviva_catalog():
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: every bundled workload query race-checks clean. The wave
-# schedule is derived from the same declared produces/consumes edges both
-# executors honor, so a clean report covers serial and parallel execution.
+# Acceptance: every bundled workload query race-checks clean: every pair
+# of units that shares a store entry or a block is ordered by a declared
+# produces/consumes path.
 # ---------------------------------------------------------------------------
 
 
@@ -171,7 +171,7 @@ def test_race001_same_wave_store_conflict():
     diag = diags[0]
     assert diag.severity == "error"
     assert "pipeline:a" in diag.message and "pipeline:b" in diag.message
-    assert "wave 0" in diag.message
+    assert "no produce/consume path" in diag.message
     assert diag.hint
 
 
@@ -190,11 +190,12 @@ def test_race101_cross_wave_unordered_store():
     a = _SeededUnit("pipeline:a", produces={1}, ops=[_SeededOp(store)])
     b = _SeededUnit("pipeline:b", produces={2})
     c = _SeededUnit("small:c", consumes={2}, ops=[_SeededOp(store)])
-    # a and c land in different waves (c waits for b), but share the
-    # store with no produce/consume path between them.
+    # c is ordered after b, but a and c share the store with no
+    # produce/consume path between them: the same error as any other
+    # unordered store conflict.
     diags = check_races([a, b, c])
-    assert _rules_of(diags) == {"RACE101"}
-    assert all(d.severity == "warning" for d in diags)
+    assert _rules_of(diags) == {"RACE001"}
+    assert all(d.severity == "error" for d in diags)
     assert "no produce/consume path" in diags[0].message
 
 
@@ -224,51 +225,6 @@ def test_race201_silent_when_sidecar_block_consumed():
         "pipeline:carrier", produces={8}, consumes={7}, ops=[_CarrierOp(7)]
     )
     assert check_races([producer, carrier]) == []
-
-
-class _BackedOp:
-    """Operator whose store entry aliases a published block (rollup shape)."""
-
-    label = "agg:backed"
-    state_rule = StateRule(
-        entries=("sketch", "output"), block_backed=frozenset({"output"})
-    )
-
-    def __init__(self, store, block_id):
-        self.state = store
-        self.block_id = block_id
-
-
-def test_race301_block_backed_entry_with_foreign_producer():
-    store = InMemoryStateStore()
-    producer = _SeededUnit("pipeline:prod", produces={9})
-    backed = _SeededUnit(
-        "agg:backed-unit", produces={8}, consumes={9},
-        ops=[_BackedOp(store, 9)],
-    )
-    diags = check_races([producer, backed])
-    assert _rules_of(diags) == {"RACE301"}
-    diag = diags[0]
-    assert diag.severity == "error"
-    assert "block 9" in diag.message and "'output'" in diag.message
-    assert "pipeline:prod" in diag.message
-    assert diag.hint
-
-
-def test_race301_block_backed_entry_with_no_producer():
-    store = InMemoryStateStore()
-    backed = _SeededUnit("agg:backed-unit", ops=[_BackedOp(store, 9)])
-    diags = check_races([backed])
-    assert _rules_of(diags) == {"RACE301"}
-    assert "no unit" in diags[0].message
-
-
-def test_race301_silent_when_unit_produces_backing_block():
-    store = InMemoryStateStore()
-    backed = _SeededUnit(
-        "agg:backed-unit", produces={8}, ops=[_BackedOp(store, 8)]
-    )
-    assert check_races([backed]) == []
 
 
 def test_race000_bad_sql_is_warning(conviva_catalog):

@@ -7,7 +7,9 @@ The fault plan per run exercises all four kinds: a transient unit failure
 (checkpointed partial replay), and one checkpoint corruption (fall-back
 to an older snapshot). ``batch`` faults are used for the forced failures
 because they fire for every query shape; ``sentinel`` probes only exist
-in plans with uncertain SELECT/JOIN operators.
+in plans with uncertain SELECT/JOIN operators. ``test_parallel`` runs the
+faulted side across two shard worker processes, where every worker claims
+and recovers the same faults on its own sub-stream.
 
 Scale knobs (for the CI chaos-smoke job):
 
@@ -25,6 +27,7 @@ import os
 import pytest
 
 from repro.core import OnlineConfig, OnlineQueryEngine
+from repro.engine.shards import ShardedQueryEngine
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
 
 BATCHES = int(os.environ.get("IOLAP_CHAOS_BATCHES", "8"))
@@ -45,8 +48,9 @@ def catalogs(tpch_small, conviva_small):
     return {"tpch": tpch_small.catalog(), "conviva": conviva_small.catalog()}
 
 
-def run_query(spec, catalog, executor, faults=None, rollup=False):
-    engine = OnlineQueryEngine(
+def run_query(spec, catalog, shards=0, faults=None):
+    engine_cls = ShardedQueryEngine if shards else OnlineQueryEngine
+    engine = engine_cls(
         catalog,
         spec.streamed_table,
         OnlineConfig(
@@ -56,14 +60,10 @@ def run_query(spec, catalog, executor, faults=None, rollup=False):
             checkpoint_interval=INTERVAL,
             unit_retry_attempts=2,
             sanitize=SANITIZE,
-            rollup=rollup,
+            shards=shards,
         ),
-        executor=executor,
     )
-    try:
-        return engine, engine.run_to_completion(spec.plan, BATCHES)
-    finally:
-        engine.executor.close()
+    return engine, engine.run_to_completion(spec.plan, BATCHES)
 
 
 def spec_of(source, name):
@@ -73,26 +73,20 @@ def spec_of(source, name):
 class TestChaos:
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_serial(self, source, name, catalogs):
-        self._check(source, name, catalogs, "serial")
+        self._check(source, name, catalogs, shards=0)
 
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_parallel(self, source, name, catalogs):
-        self._check(source, name, catalogs, "parallel")
+        """Two shard worker processes, each recovering its own faults
+        (non-shardable plans take the single-process fallback), must land
+        on the fault-free serial answer."""
+        self._check(source, name, catalogs, shards=2)
 
-    @pytest.mark.parametrize("source,name", ALL_QUERIES)
-    def test_serial_rollup(self, source, name, catalogs):
-        """Recovery under faults with the rollup tier on must still land
-        on the fault-free, rollup-off answer (restore demotes migrated
-        groups before the replay suffix runs)."""
-        self._check(source, name, catalogs, "serial", rollup=True)
-
-    def _check(self, source, name, catalogs, executor, rollup=False):
+    def _check(self, source, name, catalogs, shards):
         spec = spec_of(source, name)
         catalog = catalogs[source]
-        eng0, clean = run_query(spec, catalog, executor)
-        eng1, faulted = run_query(
-            spec, catalog, executor, faults=FAULTS, rollup=rollup
-        )
+        eng0, clean = run_query(spec, catalog)
+        eng1, faulted = run_query(spec, catalog, shards=shards, faults=FAULTS)
         # Real (non-injected) violations can also occur, especially at low
         # trial counts — recovery handles those identically, so only the
         # two *forced* failures are a floor, not an exact count.
@@ -102,5 +96,5 @@ class TestChaos:
             f"(got {eng1.metrics.num_recoveries}, clean run had {extra})"
         )
         assert faulted.to_relation().bag_equal(clean.to_relation(), 9), (
-            f"{name} ({executor}): faulted final diverged from fault-free"
+            f"{name} (shards={shards}): faulted final diverged from fault-free"
         )

@@ -131,17 +131,19 @@ class TestMain:
         assert all(b["op_seconds"] for b in data["batches"])
 
     def test_parallel_executor(self, capsys):
+        """Parallel execution is the process-shard path (``--shards``)."""
         code, out, err = self.run(
             [
                 "SELECT cdn, COUNT(*) AS n FROM sessions GROUP BY cdn",
                 "--scale", "0.05", "--batches", "3", "--trials", "5",
-                "--executor", "parallel",
+                "--shards", "2",
             ],
             capsys,
         )
         assert code == 0
         assert "exact" in err
         assert "slowest operators:" in err
+        assert "cdn=" in out
 
     def test_max_rows_truncation(self, capsys):
         code, out, err = self.run(

@@ -11,36 +11,39 @@ from __future__ import annotations
 import pytest
 
 from repro.core import OnlineConfig, OnlineQueryEngine
+from repro.engine.shards import ShardedQueryEngine
 from repro.errors import RangeIntegrityError, ReproError, TransientUnitError
 from repro.faults import FaultPlan, FaultSpec, as_plan, parse_fault, parse_faults
 from repro.faults.injector import FaultInjector
 from repro.obs import Observability
-from tests.test_online_engine import make_catalog, sbi_plan
+from tests.test_online_engine import correlated_plan, make_catalog, sbi_plan
 
 #: A plan with an uncertain SELECT (x > streaming AVG), so sentinel
 #: probes exist for the ``sentinel@N`` fault kind to fire at.
 SBI = sbi_plan()
+#: The per-group correlated form shards on ``k`` and still has an
+#: uncertain SELECT for sentinel probes.
+CORRELATED = correlated_plan()
 
 
 def run_engine(catalog, faults=None, interval=4, executor="serial",
-               num_batches=20, with_obs=False, **config):
+               num_batches=20, with_obs=False, plan=SBI, **config):
     sink = None
     if with_obs:
         obs, sink = Observability.in_memory()
     else:
         obs = None
-    eng = OnlineQueryEngine(
+    # "parallel" runs across two shard worker processes.
+    shards = 2 if executor == "parallel" else 0
+    engine_cls = ShardedQueryEngine if shards else OnlineQueryEngine
+    eng = engine_cls(
         catalog,
         "t",
         OnlineConfig(num_trials=16, seed=3, faults=faults,
-                     checkpoint_interval=interval, **config),
-        executor=executor,
+                     checkpoint_interval=interval, shards=shards, **config),
         obs=obs,
     )
-    try:
-        final = eng.run_to_completion(SBI, num_batches)
-    finally:
-        eng.executor.close()
+    final = eng.run_to_completion(plan, num_batches)
     return eng, final, sink
 
 
@@ -268,11 +271,17 @@ class TestPartialReplay:
         assert eng._checkpoints.batches() == [4, 8, 20]
         assert final.to_relation().bag_equal(final0.to_relation(), 9)
 
-    def test_parallel_executor_matches(self, catalog, fault_free):
-        _, final0, _ = fault_free
-        _, final, _ = run_engine(
-            catalog, faults="sentinel@16", executor="parallel"
+
+    def test_parallel_executor_matches(self, catalog):
+        """Each shard worker recovers the forced failure from its own
+        checkpoints and the merged final is the fault-free one."""
+        _, final0, _ = run_engine(catalog, plan=CORRELATED)
+        eng, final, _ = run_engine(
+            catalog, faults="sentinel@16", executor="parallel",
+            plan=CORRELATED,
         )
+        assert eng.shard_plan.shardable
+        assert eng.metrics.batches[15].recovered
         assert final.to_relation().bag_equal(final0.to_relation(), 9)
 
 
@@ -322,15 +331,16 @@ class TestUnitRetry:
 
     def test_parallel_executor_retries_too(self):
         catalog = make_catalog(n=1200)
-        _, final0, _ = run_engine(catalog, num_batches=8)
+        _, final0, _ = run_engine(catalog, num_batches=8, plan=CORRELATED)
         eng, final, _ = run_engine(
             catalog, faults="unit@5:aggregate", num_batches=8,
-            executor="parallel", unit_retry_attempts=2,
+            executor="parallel", unit_retry_attempts=2, plan=CORRELATED,
         )
+        assert eng.shard_plan.shardable
         assert eng.metrics.num_recoveries == 0
         assert final.to_relation().bag_equal(final0.to_relation(), 9)
 
-    @pytest.mark.parametrize("executor", ["serial", "parallel"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_retried_attempts_get_their_own_spans(self, executor):
         # One "unit" span per *attempt*, tagged with its ordinal: two
         # injected transient faults mean attempts 1 and 2 fail (span

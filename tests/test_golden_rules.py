@@ -368,44 +368,11 @@ def _race002(ctx):
     return check_races([_Unit("a", produces={5}), _Unit("b", produces={5})])
 
 
-def _race101(ctx):
-    store = InMemoryStateStore()
-    return check_races(
-        [
-            _Unit("a", produces={1}, ops=[_StoreOp(store)]),
-            _Unit("b", produces={2}),
-            _Unit("c", consumes={2}, ops=[_StoreOp(store)]),
-        ]
-    )
-
-
 def _race201(ctx):
     return check_races(
         [
             _Unit("prod", produces={7}),
             _Unit("carrier", produces={8}, ops=[_CarrierOp(7)]),
-        ]
-    )
-
-
-class _BackedOp:
-    label = "agg:golden-backed"
-    state_rule = StateRule(
-        entries=("sketch", "output"), block_backed=frozenset({"output"})
-    )
-
-    def __init__(self, store, block_id):
-        self.state = store
-        self.block_id = block_id
-
-
-def _race301(ctx):
-    store = InMemoryStateStore()
-    return check_races(
-        [
-            _Unit("prod", produces={9}),
-            _Unit("backed", produces={8}, consumes={9},
-                  ops=[_BackedOp(store, 9)]),
         ]
     )
 
@@ -474,31 +441,6 @@ def _san002(ctx, tmp_path=None):
         )
 
 
-def _san003(ctx):
-    import threading
-
-    san = BufferSanitizer()
-    san.begin_batch(1)
-    buf = np.zeros(4)
-
-    class _Other:
-        label = "op:golden-other"
-
-    san.note_output(_Other(), buf)
-    caught: list[Any] = []
-
-    def clash():
-        try:
-            san.note_output(_WriterOp(), buf)
-        except Exception as err:  # noqa: BLE001 - the violation is the fixture
-            caught.append(err)
-
-    t = threading.Thread(target=clash)
-    t.start()
-    t.join()
-    return _san_diag(caught[0])
-
-
 # -- the registry -----------------------------------------------------------
 
 FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
@@ -533,12 +475,9 @@ FIXTURES: dict[str, Callable[[Ctx], list[AnalysisDiagnostic]]] = {
     "RACE000": _race000,
     "RACE001": _race001,
     "RACE002": _race002,
-    "RACE101": _race101,
     "RACE201": _race201,
-    "RACE301": _race301,
     "SAN001": _san001,
     "SAN002": _san002,
-    "SAN003": _san003,
 }
 
 ALL_RULES = (

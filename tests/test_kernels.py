@@ -24,6 +24,7 @@ from repro.core.operators.base import SpineOp, StateRule, TagRule
 from repro.core.operators.join import UncertainJoinOp
 from repro.core.sentinels import SentinelStore
 from repro.core.values import LineageRef, UncertainValue, VariationRange
+from repro.engine.shards import ShardedQueryEngine
 from repro.kernels import views
 from repro.kernels.codec import factorize_keys, recode_subset
 from repro.kernels.holistic import (
@@ -616,17 +617,16 @@ ALL_QUERIES = [("tpch", name) for name in TPCH_QUERIES] + [
 ]
 
 
-def _run_spec(spec, catalog, vectorize, executor, num_batches=3, num_trials=8):
-    engine = OnlineQueryEngine(
+def _run_spec(spec, catalog, vectorize, shards=0, num_batches=3, num_trials=8):
+    engine_cls = ShardedQueryEngine if shards else OnlineQueryEngine
+    engine = engine_cls(
         catalog,
         spec.streamed_table,
-        OnlineConfig(num_trials=num_trials, seed=7, vectorize=vectorize),
-        executor=executor,
+        OnlineConfig(
+            num_trials=num_trials, seed=7, vectorize=vectorize, shards=shards
+        ),
     )
-    try:
-        return list(engine.run(spec.plan, num_batches))
-    finally:
-        engine.executor.close()
+    return list(engine.run(spec.plan, num_batches))
 
 
 def _scalar_eq(a, b):
@@ -667,22 +667,24 @@ def small_catalogs(tpch_small, conviva_small):
 
 class TestFullRunBitIdentity:
     """Vectorized and reference modes must agree bit for bit on every
-    workload query — per batch, per row, per trial — under both executors."""
+    workload query — per batch, per row, per trial."""
 
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_serial(self, source, name, small_catalogs):
         spec = (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
         catalog = small_catalogs[source]
-        vec = _run_spec(spec, catalog, True, "serial")
-        ref = _run_spec(spec, catalog, False, "serial")
+        vec = _run_spec(spec, catalog, True)
+        ref = _run_spec(spec, catalog, False)
         assert vec, f"{name}: no partial results"
         assert_partials_identical(vec, ref, f"{name} serial")
 
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_parallel(self, source, name, small_catalogs):
+        """Across two shard worker processes (the single-process fallback
+        for plans that do not shard) both modes still agree bit for bit."""
         spec = (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
         catalog = small_catalogs[source]
-        vec = _run_spec(spec, catalog, True, "parallel")
-        ref = _run_spec(spec, catalog, False, "parallel")
+        vec = _run_spec(spec, catalog, True, shards=2)
+        ref = _run_spec(spec, catalog, False, shards=2)
         assert vec, f"{name}: no partial results"
         assert_partials_identical(vec, ref, f"{name} parallel")

@@ -140,7 +140,7 @@ class TestMetricsSchema:
         return rm
 
     def test_schema_version_pinned(self):
-        assert RUN_METRICS_SCHEMA_VERSION == 4
+        assert RUN_METRICS_SCHEMA_VERSION == 5
 
     def test_golden_field_sets(self):
         # Adding/removing a metrics field must touch this test AND bump
@@ -158,27 +158,33 @@ class TestMetricsSchema:
             "batch_no", "wall_seconds", "unit_seconds", "new_tuples",
             "recomputed_tuples", "shipped_bytes", "state_bytes",
             "total_state_bytes", "op_seconds", "recovered",
-            "recovery_seconds", "predicted_seconds", "rollup_groups",
-            "nd_groups",
+            "recovery_seconds", "predicted_seconds", "nd_groups",
         }
         assert data["schema_version"] == RUN_METRICS_SCHEMA_VERSION
 
-    def test_v3_artifact_still_validates(self):
-        # Archived artifacts outlive engine releases: a v3 dump (no
-        # rollup fields) must keep validating against the v3 field set.
+    def test_v4_artifact_with_rollup_groups_validates(self):
+        # Archived artifacts outlive engine releases: a v4 dump (still
+        # carrying the rollup tier's per-batch count) must keep
+        # validating against the v4 field set.
         data = self.make().to_dict()
-        data["schema_version"] = 3
+        data["schema_version"] = 4
         for batch in data["batches"]:
-            del batch["rollup_groups"]
-            del batch["nd_groups"]
+            batch["rollup_groups"] = 0
         validate_run_metrics(data)
 
-    def test_v3_artifact_with_v4_fields_rejected(self):
+    def test_v4_artifact_without_rollup_groups_rejected(self):
         # Version claims are checked against that version's own field
-        # set — a v3 artifact smuggling v4 fields is drift, not compat.
+        # set — a v4 artifact shaped like v5 is drift, not compat.
+        data = self.make().to_dict()
+        data["schema_version"] = 4
+        with pytest.raises(ValueError, match="missing field"):
+            validate_run_metrics(data)
+
+    def test_v3_artifact_rejected(self):
+        # Only the current and the previous version validate.
         data = self.make().to_dict()
         data["schema_version"] = 3
-        with pytest.raises(ValueError, match="unknown field"):
+        with pytest.raises(ValueError, match="schema version"):
             validate_run_metrics(data)
 
     def test_v4_artifact_missing_v4_fields_rejected(self):

@@ -260,8 +260,8 @@ class TestReportJson:
         assert doc["schema_version"] == REPORT_SCHEMA_VERSION
         assert doc["num_batches"] == 4
         assert doc["run_seconds"] > 0
-        rollup_names = {row["name"] for row in doc["span_rollup"]}
-        assert {"run", "batch", "unit"} <= rollup_names
+        span_names = {row["name"] for row in doc["span_totals"]}
+        assert {"run", "batch", "unit"} <= span_names
         assert doc["state_series"]
         assert doc["recovery"] == []
 
@@ -280,7 +280,7 @@ class TestReportJson:
 
     def test_validator_rejects_missing_field(self, tmp_path):
         doc = TraceSummary.from_file(_trace_file(tmp_path)).to_dict()
-        del doc["span_rollup"]
+        del doc["span_totals"]
         with pytest.raises(ValueError, match="missing field"):
             validate_report(doc)
 

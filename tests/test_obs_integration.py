@@ -1,11 +1,10 @@
 """End-to-end observability acceptance tests.
 
 The contract: a traced engine run emits a schema-valid event stream
-whose span taxonomy covers the whole engine (run → batch → wave → unit
-→ op, plus bootstrap / range-check / recovery-replay), the Chrome
-export of a real trace is well-formed, and — the load-bearing half —
-tracing changes *nothing* about the results, bit for bit, under either
-executor.
+whose span taxonomy covers the whole engine (run → batch → unit → op,
+plus bootstrap / range-check / recovery-replay), the Chrome export of a
+real trace is well-formed, and — the load-bearing half — tracing
+changes *nothing* about the results, bit for bit.
 """
 
 import json
@@ -13,6 +12,7 @@ import json
 import pytest
 
 from repro.core import OnlineConfig, OnlineQueryEngine
+from repro.engine.shards import ShardedQueryEngine
 from repro.errors import RangeIntegrityError, UnsupportedQueryError
 from repro.obs import Observability, to_chrome, validate_events
 from repro.relational import Catalog, avg, col, count, min_, scan
@@ -25,7 +25,7 @@ NUM_BATCHES = 4
 
 @pytest.fixture(scope="module")
 def traced_q17():
-    """One traced parallel run of nested TPC-H Q17; (events, results)."""
+    """One traced run of nested TPC-H Q17; (events, results)."""
     catalog = generate_tpch(scale=0.3, seed=3).catalog()
     spec = TPCH_QUERIES["Q17"]
     obs, sink = Observability.in_memory()
@@ -33,11 +33,9 @@ def traced_q17():
         catalog,
         spec.streamed_table,
         OnlineConfig(num_trials=10, seed=7),
-        executor="parallel",
         obs=obs,
     )
     results = list(engine.run(spec.plan, NUM_BATCHES))
-    engine.executor.close()
     obs.close()
     return sink.events, results
 
@@ -53,14 +51,14 @@ class TestTracedRun:
         # Q17 is nested (side view + correlated filter), so the full
         # taxonomy must show up, including bootstrap and range checks.
         assert {
-            "run", "batch", "wave", "unit", "op", "bootstrap", "range-check"
+            "run", "batch", "unit", "op", "bootstrap", "range-check"
         } <= names
 
     def test_run_span_describes_the_run(self, traced_q17):
         events, _ = traced_q17
         [run] = [e for e in events if e["kind"] == "span" and e["name"] == "run"]
         assert run["args"]["num_batches"] == NUM_BATCHES
-        assert run["args"]["executor"] == "parallel"
+        assert run["args"]["executor"] == "serial"
         # The run span closes last, so it spans every batch span.
         for e in events:
             if e["kind"] == "span" and e["name"] == "batch":
@@ -74,14 +72,6 @@ class TestTracedRun:
             if e["kind"] == "span" and e["name"] == "batch"
         ]
         assert sorted(batches) == list(range(1, NUM_BATCHES + 1))
-
-    def test_unit_spans_land_on_unit_tracks(self, traced_q17):
-        events, _ = traced_q17
-        tracks = {
-            e["track"] for e in events
-            if e["kind"] == "span" and e["name"] == "unit"
-        }
-        assert tracks and all(t.startswith("unit:") for t in tracks)
 
     def test_paper_signal_counters_present(self, traced_q17):
         events, _ = traced_q17
@@ -107,31 +97,31 @@ class TestTracedRun:
         for e in doc["traceEvents"]:
             by_ph.setdefault(e["ph"], []).append(e)
         assert {"M", "X", "C"} <= set(by_ph)
-        # Every track got a thread-name record; unit tracks are distinct.
+        # Every track got a thread-name record.
         names = {e["args"]["name"] for e in by_ph["M"]}
         assert "main" in names
-        assert any(n.startswith("unit:") for n in names)
 
 
 class TestTracingIsPure:
-    """Bit-identical results with tracing on vs off, both executors."""
+    """Bit-identical results with tracing on vs off."""
 
     @pytest.mark.parametrize("executor", ["serial", "parallel"])
     def test_results_identical(self, executor):
         catalog = generate_tpch(scale=0.2, seed=3).catalog()
-        spec = TPCH_QUERIES["Q17"]
+        # "parallel" runs a shardable query across two shard worker
+        # processes (Q17 does not shard).
+        shards = 2 if executor == "parallel" else 0
+        spec = TPCH_QUERIES["Q3" if shards else "Q17"]
+        engine_cls = ShardedQueryEngine if shards else OnlineQueryEngine
 
         def run(obs):
-            engine = OnlineQueryEngine(
+            engine = engine_cls(
                 catalog,
                 spec.streamed_table,
-                OnlineConfig(num_trials=8, seed=5),
-                executor=executor,
+                OnlineConfig(num_trials=8, seed=5, shards=shards),
                 obs=obs,
             )
-            out = list(engine.run(spec.plan, 3))
-            engine.executor.close()
-            return out
+            return list(engine.run(spec.plan, 3))
 
         plain = run(None)
         obs, sink = Observability.in_memory()

@@ -4,8 +4,9 @@
 The two load-bearing claims:
 
 * **bit-identical when on** — ``OnlineConfig(profile=True)`` changes no
-  result: every workload query, under both executors, yields the same
-  points and bootstrap trials with profiling on and off;
+  result: every workload query, serial and across two shard worker
+  processes, yields the same points and bootstrap trials with profiling
+  on and off;
 * **the model predicts** — after the warm-up quota the cost model issues
   per-batch predictions, scores them against actuals, excludes recovery
   replay from what it learns, and inverts the measured ``c/√n`` CI
@@ -24,6 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import OnlineConfig, OnlineQueryEngine
+from repro.engine.shards import ShardedQueryEngine
 from repro.metrics.stats import BatchMetrics
 from repro.obs import NULL_OBS, MetricsObservability
 from repro.obs.costmodel import CostModel
@@ -59,17 +61,16 @@ def spec_of(source, name):
 
 def run_query(spec, catalog, executor, profile=False, path=None,
               batches=BATCHES, **config):
-    engine = OnlineQueryEngine(
+    # "parallel" runs across two shard worker processes.
+    shards = 2 if executor == "parallel" else 0
+    engine_cls = ShardedQueryEngine if shards else OnlineQueryEngine
+    engine = engine_cls(
         catalog,
         spec.streamed_table,
         OnlineConfig(num_trials=TRIALS, seed=7, profile=profile,
-                     profile_path=path, **config),
-        executor=executor,
+                     profile_path=path, shards=shards, **config),
     )
-    try:
-        return engine, list(engine.run(spec.plan, batches))
-    finally:
-        engine.executor.close()
+    return engine, list(engine.run(spec.plan, batches))
 
 
 class TestEwma:
@@ -353,8 +354,8 @@ class TestEngineProfiling:
 
 
 class TestBitIdenticalWithProfiling:
-    """Acceptance sweep: profiling changes no bits on any workload query
-    under either executor."""
+    """Acceptance sweep: profiling changes no bits on any workload query,
+    serial or sharded."""
 
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_serial(self, source, name, catalogs, tmp_path):

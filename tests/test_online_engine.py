@@ -6,8 +6,6 @@ multiplicities scaled by ``m_i`` — checked here batch by batch for every
 supported query shape, and exactly (not approximately) at the final batch.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,11 +13,9 @@ from repro.batching import Partitioner
 from repro.baselines import run_batch
 from repro.core import OnlineConfig, OnlineQueryEngine
 from repro.core.values import UncertainValue
-from repro.errors import UnsupportedQueryError
+from repro.errors import ReproError, UnsupportedQueryError
 from repro.relational import (
     Catalog,
-    ColumnType,
-    Schema,
     avg,
     col,
     count,
@@ -370,70 +366,74 @@ class TestEmptyInputs:
 
 
 class TestExecutorLifecycle:
-    """Regression: every run must release its executor pool. ``run`` used
-    to leave the ParallelExecutor's threads alive on normal completion,
-    on error, and on abandoned generators — thread count grew run over
-    run until the caller remembered to close the pool by hand."""
+    """Every sharded run must release its worker processes: on normal
+    completion, on error, and when the caller abandons the result
+    generator part way through."""
 
     def _thread_count(self):
         import threading
 
         return threading.active_count()
 
+    def _live_workers(self):
+        import multiprocessing
+
+        return len(multiprocessing.active_children())
+
+    def _sharded(self, catalog, **kwargs):
+        from repro.engine.shards import ShardedQueryEngine
+
+        defaults = dict(num_trials=5, seed=5, shards=2)
+        defaults.update(kwargs)
+        return ShardedQueryEngine(catalog, "t", OnlineConfig(**defaults))
+
     def test_thread_count_stable_across_runs(self):
         catalog = make_catalog(300)
         plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("x", "sx")])
-        eng = engine(catalog, num_trials=5)
-        eng.executor = __import__(
-            "repro.engine.executor", fromlist=["ParallelExecutor"]
-        ).ParallelExecutor(max_workers=4)
-        baseline = self._thread_count()
+        eng = self._sharded(catalog)
+        threads, workers = self._thread_count(), self._live_workers()
         for _ in range(5):
             eng.run_to_completion(plan, 3)
-            assert self._thread_count() <= baseline
-        assert self._thread_count() == baseline
+            assert eng.shard_plan.shardable
+            assert self._thread_count() <= threads
+            assert self._live_workers() == workers
+        assert self._thread_count() == threads
 
     def test_abandoned_generator_closes_pool(self):
         catalog = make_catalog(300)
         plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("x", "sx")])
-        eng = engine(catalog, num_trials=5)
-        eng.executor = __import__(
-            "repro.engine.executor", fromlist=["ParallelExecutor"]
-        ).ParallelExecutor(max_workers=4)
-        baseline = self._thread_count()
+        eng = self._sharded(catalog)
+        workers = self._live_workers()
         for _ in range(3):
             gen = eng.run(plan, 4)
             next(gen)  # consume one batch, then walk away
+            assert self._live_workers() == workers + 2
             gen.close()
-            assert self._thread_count() == baseline
+            assert self._live_workers() == workers
 
     def test_engine_reusable_after_close(self):
-        """Closing the pool between runs must not break the next run —
-        the ParallelExecutor re-creates its pool lazily."""
+        """Stopping the workers at the end of a run must not break the
+        next run: each run forks a fresh set."""
         catalog = make_catalog(300)
         plan = scan("t", KX_SCHEMA).aggregate(["k"], [avg("x", "ax")])
-        eng = engine(catalog, num_trials=5)
-        eng.executor = __import__(
-            "repro.engine.executor", fromlist=["ParallelExecutor"]
-        ).ParallelExecutor(max_workers=2)
+        eng = self._sharded(catalog)
         first = eng.run_to_completion(plan, 3)
         second = eng.run_to_completion(plan, 3)
+        assert eng.shard_plan.shardable
         for ra, rb in zip(first.sorted_plain_rows(), second.sorted_plain_rows()):
             assert ra == rb
 
     def test_failed_run_closes_pool(self):
         catalog = make_catalog(300)
-        eng = engine(catalog, num_trials=5, faults="batch@2", slack=2.0)
-        eng.executor = __import__(
-            "repro.engine.executor", fromlist=["ParallelExecutor"]
-        ).ParallelExecutor(max_workers=4)
         plan = scan("t", KX_SCHEMA).aggregate(["k"], [sum_("x", "sx")])
-        baseline = self._thread_count()
-        # batch fault recovers; force a real failure with an unsupported
-        # query instead: compile rejects before any pool use.
-        with pytest.raises(UnsupportedQueryError):
-            list(eng.run(scan("t", KX_SCHEMA).aggregate(
-                [], [max_(col("x"), "mx")]
-            ), 3))
-        eng.run_to_completion(plan, 3)
-        assert self._thread_count() == baseline
+        threads, workers = self._thread_count(), self._live_workers()
+        # Unit faults beyond the retry budget are fatal inside a worker.
+        failing = self._sharded(
+            catalog, faults="unit@2:aggregate*9", unit_retry_attempts=1
+        )
+        with pytest.raises(ReproError, match="shard .* failed at batch 2"):
+            failing.run_to_completion(plan, 3)
+        assert self._live_workers() == workers
+        self._sharded(catalog).run_to_completion(plan, 3)
+        assert self._live_workers() == workers
+        assert self._thread_count() == threads

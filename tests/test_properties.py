@@ -322,16 +322,15 @@ class TestKernelsMatchReferenceFuzzed:
 
 class TestFullRunVectorizeFuzzed:
     """Whole randomized runs: vectorize on/off yield bit-identical partial
-    results under both executors (the ND-heavy semijoin + holistic shape)."""
+    results (the ND-heavy semijoin + holistic shape)."""
 
     @fuzz
     @given(
         st.integers(0, 10_000),
         st.integers(150, 500),
         st.integers(2, 5),
-        st.sampled_from(["serial", "parallel"]),
     )
-    def test_bit_identical_modes(self, seed, n, batches, executor):
+    def test_bit_identical_modes(self, seed, n, batches):
         rng = np.random.default_rng(seed)
         cat = Catalog({"t": dataset(seed, n, 5)})
         member = (
@@ -351,15 +350,11 @@ class TestFullRunVectorizeFuzzed:
                 cat,
                 "t",
                 OnlineConfig(num_trials=9, seed=seed, vectorize=vectorize),
-                executor=executor,
             )
-            try:
-                partials[vectorize] = list(eng.run(plan, batches))
-            finally:
-                eng.executor.close()
+            partials[vectorize] = list(eng.run(plan, batches))
         assert partials[True], "no partial results"
         assert_partials_identical(
-            partials[True], partials[False], f"fuzz seed={seed} {executor}"
+            partials[True], partials[False], f"fuzz seed={seed}"
         )
 
 

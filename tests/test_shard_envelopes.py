@@ -217,7 +217,6 @@ class TestEnvelopeRoundTrip:
             config=OnlineConfig(num_trials=8, seed=3, shards=2),
             num_batches=4,
             partition_mode="shuffle",
-            executor="serial",
             shard=ShardSpec(index=1, count=2, key=("returnflag",)),
         )
         back = roundtrip(task)

@@ -258,21 +258,6 @@ class TestFallback:
         assert warnings, "fallback must leave a shard-fallback trace warning"
         assert "scalar aggregate" in warnings[0]["args"]["reason"]
 
-    def test_executor_instance_pins_single_process(self, catalogs):
-        from repro.engine.executor import SerialExecutor
-
-        spec = spec_of("tpch", "Q1")  # shardable, but the instance wins
-        engine = ShardedQueryEngine(
-            catalogs["tpch"],
-            spec.streamed_table,
-            OnlineConfig(num_trials=TRIALS, seed=11, shards=2),
-            executor=SerialExecutor(),
-        )
-        serial = run_serial(spec, catalogs["tpch"])
-        got = list(engine.run(spec.plan, BATCHES))
-        for s, p in zip(serial, got):
-            assert_rows_bit_identical(s.rows, p.rows, "Q1 pinned executor")
-
 
 class TestObservability:
     def test_per_shard_metrics_and_spans(self, catalogs):
