@@ -260,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "aliased-view provenance; results are unchanged",
     )
     parser.add_argument(
-        "--no-vectorize", action="store_true",
-        help="run operator hot paths row by row instead of through the "
-        "vectorized kernels (iolap engine); results are bit-identical, "
-        "only slower — an A/B lever for debugging and benchmarks",
-    )
-    parser.add_argument(
         "--faults", metavar="SPEC", default=None,
         help="inject deterministic faults (iolap engine): comma-separated "
         "kind@batch[:target][*times] specs with kind in "
@@ -766,7 +760,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             verify=args.verify,
             sanitize=args.sanitize,
-            vectorize=not args.no_vectorize,
             faults=args.faults,
             shards=args.shards,
             **_profile_config(args),

@@ -76,24 +76,49 @@ def evaluate_side(
     uncertain_cols: set[str],
     ctx: RuntimeContext,
 ) -> SideValues:
-    """Evaluate one comparison side, with ranges and trials."""
+    """Evaluate one comparison side, with ranges and trials.
+
+    A bare uncertain column and every expression in the kernel dialect
+    (``+ - * /`` over columns and numeric literals) go through
+    :mod:`repro.kernels.resolve`; anything else (``%``, functions,
+    string literals) takes :func:`evaluate_side_per_row`.
+    """
     n = len(rel)
-    touched = expr.attrs() & uncertain_cols
-    if not touched:
+    if not expr.attrs() & uncertain_cols:
         vals = np.asarray(expr.evaluate(rel), dtype=np.float64)
         return SideValues(vals, vals, vals, None, np.zeros(n, dtype=bool), set())
 
     if isinstance(expr, Col):
-        return _resolve_column(
-            rel.column(expr.name), n, ctx, rel.lineage.get(expr.name)
+        # The column's structured lineage sidecar, when the producing
+        # operator attached one (``UncertainJoinOp._attach_coded``), lets
+        # the kernel walk int32 slots and the ND bitmask instead of
+        # ``isinstance``-scanning the cell objects.
+        return SideValues(
+            *kresolve.resolve_column(
+                rel.column(expr.name), n, ctx, rel.lineage.get(expr.name)
+            )
         )
 
-    if ctx.config.vectorize:
-        out = kresolve.try_evaluate_side(expr, rel, uncertain_cols, ctx)
-        if out is not None:
-            return SideValues(*out)
+    out = kresolve.try_evaluate_side(expr, rel, uncertain_cols, ctx)
+    if out is not None:
+        return SideValues(*out)
+    return evaluate_side_per_row(expr, rel, uncertain_cols, ctx)
 
-    # General path: per-row evaluation with UncertainValue arithmetic.
+
+def evaluate_side_per_row(
+    expr: Expression,
+    rel: Relation,
+    uncertain_cols: set[str],
+    ctx: RuntimeContext,
+) -> SideValues:
+    """Per-row evaluation with :class:`UncertainValue` arithmetic.
+
+    The only path for expressions outside the kernel dialect, and the
+    reference the kernels are tested against: it resolves each row's
+    lineage cells and evaluates the expression on plain Python values.
+    """
+    n = len(rel)
+    touched = expr.attrs() & uncertain_cols
     lo = np.empty(n)
     hi = np.empty(n)
     point = np.empty(n)
@@ -125,43 +150,6 @@ def evaluate_side(
         else:
             lo[i] = hi[i] = point[i] = float(value)  # type: ignore[arg-type]
             trials[i] = float(value)  # type: ignore[arg-type]
-    return SideValues(lo, hi, point, trials, pending, refs)
-
-
-def _resolve_column(
-    column: np.ndarray, n: int, ctx: RuntimeContext, lineage=None
-) -> SideValues:
-    """Fast path: a bare uncertain column of refs / uncertain values.
-
-    ``lineage`` is the column's structured sidecar when the producing
-    operator attached one (``UncertainJoinOp._attach_coded``): the
-    vectorized kernel then walks int32 slots and the ND bitmask instead
-    of ``isinstance``-scanning the cell objects. The row-wise reference
-    below ignores it by design.
-    """
-    if ctx.config.vectorize:
-        return SideValues(*kresolve.resolve_column(column, n, ctx, lineage))
-    lo = np.empty(n)
-    hi = np.empty(n)
-    point = np.empty(n)
-    trials = np.empty((n, ctx.num_trials))
-    pending = np.zeros(n, dtype=bool)
-    refs: set = set()
-    cache: dict[object, object] = {}
-    for i in range(n):
-        value = _resolve_cell(column[i], ctx, cache)
-        if value is None:
-            pending[i] = True
-            lo[i] = hi[i] = point[i] = np.nan
-            trials[i] = np.nan
-        elif isinstance(value, UncertainValue):
-            lo[i], hi[i] = value.vrange.lo, value.vrange.hi
-            point[i] = value.value
-            trials[i] = value.trials
-            refs.update(value.sources)
-        else:
-            lo[i] = hi[i] = point[i] = float(value)
-            trials[i] = float(value)
     return SideValues(lo, hi, point, trials, pending, refs)
 
 

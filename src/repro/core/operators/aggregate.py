@@ -145,15 +145,8 @@ class AggregateOp(SpineOp):
             store = self.row_store
             self.row_store = cin if store is None else store.concat(cin)
         if len(cin):
-            if ctx.config.vectorize:
-                # The codec's distinct keys update the set identically to
-                # the per-row tuples (set semantics), without building a
-                # tuple per row.
-                self.certain_groups.update(factorize_keys(cin, self.group_by).keys)
-            else:
-                self.certain_groups.update(
-                    cin.key_tuples(self.group_by) if self.group_by else [()]
-                )
+            # The codec's distinct keys, not a tuple per row.
+            self.certain_groups.update(factorize_keys(cin, self.group_by).keys)
 
         volatile_bundle = None
         if len(vin):
@@ -206,13 +199,7 @@ class AggregateOp(SpineOp):
     ) -> None:
         rows = self._lazy_input(ctx, vin)
         ctx.metrics.recomputed_tuples += len(rows)
-        vectorize = ctx.config.vectorize
-        kc = factorize_keys(rows, self.group_by) if vectorize else None
-        keys = (
-            None
-            if vectorize
-            else rows.key_tuples(self.group_by) if self.group_by else [()] * len(rows)
-        )
+        kc = factorize_keys(rows, self.group_by)
         # Deterministic-mult stores never materialize the (n, T) copy —
         # the broadcast is read-only and all uses below fancy-index it.
         trial_w = (
@@ -224,26 +211,16 @@ class AggregateOp(SpineOp):
             side = evaluate_side(spec.arg, rows, self.child.uncertain_cols, ctx)
             ok = ~side.pending
             bundle = AggBundle([spec], ctx.num_trials)
-            if vectorize:
-                sub_keys, sub_codes = recode_subset(kc, ok)
-                bundle.fold_values_coded(
-                    sub_keys,
-                    sub_codes,
-                    0,
-                    side.point[ok],
-                    side.trial_matrix(ctx.num_trials)[ok],
-                    rows.mult[ok],
-                    trial_w[ok],
-                )
-            else:
-                bundle.fold_values(
-                    [k for k, good in zip(keys, ok) if good],
-                    0,
-                    side.point[ok],
-                    side.trial_matrix(ctx.num_trials)[ok],
-                    rows.mult[ok],
-                    trial_w[ok],
-                )
+            sub_keys, sub_codes = recode_subset(kc, ok)
+            bundle.fold_values_coded(
+                sub_keys,
+                sub_codes,
+                0,
+                side.point[ok],
+                side.trial_matrix(ctx.num_trials)[ok],
+                rows.mult[ok],
+                trial_w[ok],
+            )
             values, trial_values = bundle.finalize(0, scale)
             for gi, key in enumerate(bundle.keys):
                 vals = per_group.setdefault(key, {})
@@ -252,26 +229,11 @@ class AggregateOp(SpineOp):
                 exist_point.setdefault(key, bool(bundle.weight[gi] > 0))
         for spec in self.holistic_specs:
             values_arr = spec.arg_values(rows)
-            if vectorize:
-                group_iter = zip(kc.keys, grouped_indices(kc.codes, kc.num_keys))
-            else:
-                by_group: dict[GroupKey, list[int]] = {}
-                for i, key in enumerate(keys):
-                    by_group.setdefault(key, []).append(i)
-                group_iter = (
-                    (key, np.asarray(idx, dtype=np.intp))
-                    for key, idx in by_group.items()
-                )
-            for key, ix in group_iter:
+            for key, ix in zip(kc.keys, grouped_indices(kc.codes, kc.num_keys)):
                 point = spec.func.compute(values_arr[ix], rows.mult[ix]) * (
                     scale if spec.func.scales_with_m else 1.0
                 )
-                if vectorize:
-                    trials = spec.func.trial_compute(values_arr[ix], trial_w[ix])
-                else:
-                    trials = np.empty(ctx.num_trials)
-                    for j in range(ctx.num_trials):
-                        trials[j] = spec.func.compute(values_arr[ix], trial_w[ix, j])
+                trials = spec.func.trial_compute(values_arr[ix], trial_w[ix])
                 if spec.func.scales_with_m:
                     trials = trials * scale
                 vals = per_group.setdefault(key, {})
@@ -296,13 +258,12 @@ class AggregateOp(SpineOp):
             if obs_on
             else None
         )
-        # Vectorized mode batches the range estimation per spec column —
-        # one (G, T) reduction instead of G scalar observe() calls — with
-        # bit-identical bounds (see RangeMonitor.observe_batch).
-        batched_ranges: dict[str, list] | None = None
-        if ctx.config.vectorize and per_group:
+        # Range estimation runs once per spec column: one (G, T) reduction
+        # instead of G scalar observe() calls, with bit-identical bounds
+        # (see RangeMonitor.observe_batch).
+        batched_ranges: dict[str, list] = {}
+        if per_group:
             keys_order = list(per_group)
-            batched_ranges = {}
             for spec in self.specs:
                 points = np.fromiter(
                     (float(per_group[k][spec.name][0]) for k in keys_order),  # type: ignore[index]
@@ -324,15 +285,7 @@ class AggregateOp(SpineOp):
                 values[col_name] = key[gi]
             for spec in self.specs:
                 point, trials = raw[spec.name]  # type: ignore[misc]
-                if batched_ranges is not None:
-                    vrange = batched_ranges[spec.name][row_i]
-                else:
-                    vrange = ctx.monitor.observe(
-                        (self.block_id, key, spec.name),
-                        ctx.batch_no,
-                        float(point),
-                        trials,
-                    )
+                vrange = batched_ranges[spec.name][row_i]
                 if width_hist is not None and vrange is not None:
                     width_hist.observe(vrange.width)
                 values[spec.name] = UncertainValue(

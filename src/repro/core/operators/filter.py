@@ -123,7 +123,6 @@ class UncertainFilterOp(SpineOp):
 
         Emitted rows needed ALL conjuncts stably true; dropped rows needed
         the specific conjuncts that were stably false."""
-        vectorize = ctx.config.vectorize
         emitted = np.flatnonzero(combined.status == TRUE)
         dropped = combined.status == FALSE
         for idx, res in enumerate(per_conjunct):
@@ -133,7 +132,6 @@ class UncertainFilterOp(SpineOp):
                     rel,
                     emitted,
                     np.ones(len(emitted), dtype=bool),
-                    vectorize=vectorize,
                     batch_no=ctx.batch_no,
                 )
             conj_false = np.flatnonzero(dropped & (res.status == FALSE))
@@ -143,7 +141,6 @@ class UncertainFilterOp(SpineOp):
                     rel,
                     conj_false,
                     np.zeros(len(conj_false), dtype=bool),
-                    vectorize=vectorize,
                     batch_no=ctx.batch_no,
                 )
 

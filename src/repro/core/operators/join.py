@@ -20,7 +20,6 @@ from repro.kernels.codec import factorize_keys
 from repro.kernels.joins import SideIndex, vectorized_join
 from repro.kernels.stats import STATS
 from repro.kernels.views import GroupTable, group_table
-from repro.relational.evaluator import join_relations
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.storage.lineage import lineage_from_refs
@@ -89,19 +88,15 @@ class StaticJoinOp(SpineOp):
         return index
 
     def _join(self, rel: Relation, ctx: RuntimeContext) -> Relation:
+        # A keyless (cross) join has no key to index; ``vectorized_join``
+        # hands it to the evaluator's nested product.
         if self.stream_is_left:
-            if ctx.config.vectorize and self.keys:
-                return vectorized_join(rel, self.side, self.keys, self._side_index())
-            return join_relations(rel, self.side, self.keys)
+            index = self._side_index() if self.keys else None
+            return vectorized_join(rel, self.side, self.keys, index)
+        # Stream on the probe side: the per-batch index is over the stream
+        # delta, so there is nothing to cache.
         flipped = [(rk, lk) for lk, rk in self.keys]
-        if ctx.config.vectorize and self.keys:
-            # Stream on the probe side: the per-batch index is over the
-            # stream delta, so there is nothing to cache — but the build
-            # and probe are still vectorized.
-            joined = vectorized_join(self.side, rel, flipped)
-        else:
-            joined = join_relations(self.side, rel, flipped)
-        return _reorder_columns(joined, self.schema)
+        return _reorder_columns(vectorized_join(self.side, rel, flipped), self.schema)
 
 
 def _reorder_columns(rel: Relation, schema: Schema) -> Relation:
@@ -190,17 +185,6 @@ class UncertainJoinOp(SpineOp):
             return [() for _ in range(len(rel))]
         return rel.key_tuples(self.stream_keys)
 
-    def _probe_table(
-        self, rel: Relation, view: BlockOutput | None
-    ) -> tuple[object, GroupTable | None, np.ndarray | None]:
-        """Factorize stream keys and probe the side view once per
-        *distinct* key: ``(codes, table, slot-per-distinct-key)``."""
-        kc = factorize_keys(rel, self.stream_keys)
-        if view is None:
-            return kc, None, None
-        table = group_table(view)
-        return kc, table, table.probe(kc.keys)
-
     def _attach_coded(
         self, rel: Relation, table: GroupTable | None, slot_rows: np.ndarray
     ) -> Relation:
@@ -254,6 +238,39 @@ class UncertainJoinOp(SpineOp):
             cols[name] = arr
         return Relation(self.schema, cols, rel.mult, rel.trial_mults)
 
+    def _probe_status(
+        self,
+        rel: Relation,
+        view: BlockOutput | None,
+        missing: np.int8,
+        record: bool,
+        batch_no: int,
+    ) -> tuple[GroupTable | None, np.ndarray, np.ndarray]:
+        """Membership status and group-table slot of every row of ``rel``.
+
+        The side view is probed once per *distinct* stream key; a key with
+        no published group gets status ``missing`` and slot -1. With
+        ``record=True`` every stable membership decision leaves a sentinel
+        so a later flip triggers recovery (recording is setdefault-
+        idempotent and keyed by group, so once per distinct key matches
+        once per row)."""
+        kc = factorize_keys(rel, self.stream_keys)
+        table = group_table(view) if view is not None else None
+        if table is None or not len(table.status):
+            status_u = np.full(kc.num_keys, missing, dtype=np.int8)
+            slots_u = np.full(kc.num_keys, -1, dtype=np.intp)
+        else:
+            slots_u = table.probe(kc.keys)
+            status_u = np.where(
+                slots_u < 0, missing, table.status[np.maximum(slots_u, 0)]
+            ).astype(np.int8, copy=False)
+        if record:
+            for u in np.flatnonzero(status_u == TRUE):
+                self.member_sentinels.record(kc.keys[u], True, batch_no=batch_no)
+            for u in np.flatnonzero(status_u == FALSE):
+                self.member_sentinels.record(kc.keys[u], False, batch_no=batch_no)
+        return table, status_u[kc.codes], slots_u[kc.codes]
+
     def _partition_new(
         self,
         rel: Relation,
@@ -263,75 +280,18 @@ class UncertainJoinOp(SpineOp):
     ) -> tuple[Relation, Relation, Relation]:
         """Split incoming certain rows into (certain-out, nd, pending).
 
-        With ``record=True`` (permanent actions: the certain input path),
-        every stable membership decision leaves a sentinel so later flips
-        trigger recovery."""
-        n = len(rel)
-        if n == 0:
+        ``record=True`` marks the permanent actions of the certain input
+        path, which are sentinel-guarded (see :meth:`_probe_status`)."""
+        if len(rel) == 0:
             return self._empty_out(ctx), self._empty_out(ctx), rel
-        if ctx.config.vectorize:
-            return self._partition_new_vec(rel, view, record, ctx.batch_no)
-        keys = self._keys_of(rel)
-        status = np.empty(n, dtype=np.int8)
-        groups: list[GroupValue | None] = [None] * n
-        for i, key in enumerate(keys):
-            group = view.get(key) if view is not None else None
-            groups[i] = group
-            if group is None:
-                status[i] = PENDING
-            elif group.certainly_in:
-                status[i] = TRUE
-                if record:
-                    self.member_sentinels.record(key, True, batch_no=ctx.batch_no)
-            elif group.certainly_out:
-                status[i] = FALSE
-                if record:
-                    self.member_sentinels.record(key, False, batch_no=ctx.batch_no)
-            else:
-                status[i] = UNKNOWN
+        table, status, slots = self._probe_status(
+            rel, view, PENDING, record, ctx.batch_no
+        )
         sure = status == TRUE
         unknown = status == UNKNOWN
-        waiting = status == PENDING
-        certain_out = self._attach(
-            rel.filter(sure), [g for g, s in zip(groups, sure) if s]
-        )
-        nd = self._attach(
-            rel.filter(unknown), [g for g, s in zip(groups, unknown) if s]
-        )
-        return certain_out, nd, rel.filter(waiting)
-
-    def _partition_new_vec(
-        self,
-        rel: Relation,
-        view: BlockOutput | None,
-        record: bool,
-        batch_no: int = 0,
-    ) -> tuple[Relation, Relation, Relation]:
-        """Vectorized :meth:`_partition_new` body: one view probe per
-        distinct key, then status/slot gathers."""
-        kc, table, slots_u = self._probe_table(rel, view)
-        if table is None or not len(table.status):
-            status_u = np.full(kc.num_keys, PENDING, dtype=np.int8)
-            slots_u = np.full(kc.num_keys, -1, dtype=np.intp)
-        else:
-            status_u = np.where(
-                slots_u < 0, np.int8(PENDING), table.status[np.maximum(slots_u, 0)]
-            ).astype(np.int8, copy=False)
-        if record:
-            # Sentinel recording is setdefault-idempotent and keyed by
-            # group, so once per distinct key matches once per row.
-            for u in np.flatnonzero(status_u == TRUE):
-                self.member_sentinels.record(kc.keys[u], True, batch_no=batch_no)
-            for u in np.flatnonzero(status_u == FALSE):
-                self.member_sentinels.record(kc.keys[u], False, batch_no=batch_no)
-        status = status_u[kc.codes]
-        slots = slots_u[kc.codes]
-        sure = status == TRUE
-        unknown = status == UNKNOWN
-        waiting = status == PENDING
         certain_out = self._attach_coded(rel.filter(sure), table, slots[sure])
         nd = self._attach_coded(rel.filter(unknown), table, slots[unknown])
-        return certain_out, nd, rel.filter(waiting)
+        return certain_out, nd, rel.filter(status == PENDING)
 
     def _volatile_of(self, rel: Relation, ctx: RuntimeContext) -> Relation:
         """Current contribution of attached-but-unresolved rows."""
@@ -339,25 +299,13 @@ class UncertainJoinOp(SpineOp):
         n = len(rel)
         if n == 0 or view is None:
             return self._empty_out(ctx)
-        if ctx.config.vectorize:
-            kc, table, slots_u = self._probe_table(rel, view)
-            slots = slots_u[kc.codes]
-            present = slots >= 0
-            point = np.zeros(n, dtype=bool)
-            trials = np.zeros((n, ctx.num_trials), dtype=bool)
-            if len(table.status) and present.any():
-                point[present] = table.member_point[slots[present]]
-                trials[present] = table.exist_matrix(ctx.num_trials)[slots[present]]
-            return mask_contribution(rel, (point, trials))
-        keys = self._keys_of(rel)
+        table, _, slots = self._probe_status(rel, view, UNKNOWN, False, 0)
+        present = slots >= 0
         point = np.zeros(n, dtype=bool)
         trials = np.zeros((n, ctx.num_trials), dtype=bool)
-        for i, key in enumerate(keys):
-            group = view.get(key)
-            if group is None:
-                continue
-            point[i] = group.member_point
-            trials[i] = group.exist_in_trial(ctx.num_trials)
+        if present.any():
+            point[present] = table.member_point[slots[present]]
+            trials[present] = table.exist_matrix(ctx.num_trials)[slots[present]]
         return mask_contribution(rel, (point, trials))
 
     def _empty_out(self, ctx: RuntimeContext) -> Relation:
@@ -404,44 +352,12 @@ class UncertainJoinOp(SpineOp):
                 nd_old.filter(keep), [g for g in groups if g is not None]
             )
         if len(nd_old) and view is not None:
-            if ctx.config.vectorize:
-                kc, table, slots_u = self._probe_table(nd_old, view)
-                if table is None or not len(table.status):
-                    status_u = np.full(kc.num_keys, UNKNOWN, dtype=np.int8)
-                else:
-                    status_u = np.where(
-                        slots_u < 0,
-                        np.int8(UNKNOWN),
-                        table.status[np.maximum(slots_u, 0)],
-                    ).astype(np.int8, copy=False)
-                for u in np.flatnonzero(status_u == TRUE):
-                    self.member_sentinels.record(
-                        kc.keys[u], True, batch_no=ctx.batch_no
-                    )
-                for u in np.flatnonzero(status_u == FALSE):
-                    self.member_sentinels.record(
-                        kc.keys[u], False, batch_no=ctx.batch_no
-                    )
-                status = status_u[kc.codes]
-            else:
-                keys = self._keys_of(nd_old)
-                status = np.empty(len(nd_old), dtype=np.int8)
-                for i, key in enumerate(keys):
-                    group = view.get(key)
-                    if group is None:
-                        status[i] = UNKNOWN
-                    elif group.certainly_in:
-                        status[i] = TRUE
-                        self.member_sentinels.record(
-                            key, True, batch_no=ctx.batch_no
-                        )
-                    elif group.certainly_out:
-                        status[i] = FALSE
-                        self.member_sentinels.record(
-                            key, False, batch_no=ctx.batch_no
-                        )
-                    else:
-                        status[i] = UNKNOWN
+            # A stored row's group was published when the row was parked
+            # here, so a missing group stays undecided (UNKNOWN), never
+            # PENDING.
+            _, status, _ = self._probe_status(
+                nd_old, view, UNKNOWN, True, ctx.batch_no
+            )
             certain_new = certain_new.concat(nd_old.filter(status == TRUE))
             nd_old = nd_old.filter(status == UNKNOWN)
         self.nd_store = nd_old.concat(nd_new)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.blocks import RuntimeContext
-from repro.core.values import LineageRef, UncertainValue, point_of
+from repro.core.values import LineageRef, UncertainValue
 from repro.errors import RangeIntegrityError
 from repro.relational.expressions import Comparison, Expression
 
@@ -73,6 +73,26 @@ def _tighter(op: str, expected: bool, old: float, new: float) -> float:
     if op in ("<", "<="):
         return max(old, new) if expected else min(old, new)
     return new  # ==/!=: keep the most recent
+
+
+def _fold_rows(
+    store: _ConjunctSentinels,
+    op: str,
+    rel,
+    row_indices: np.ndarray,
+    expected: np.ndarray,
+    cols: list[str],
+    det_values: np.ndarray | None,
+    batch_no: int,
+) -> None:
+    """Fold resolved rows into ``store``'s dicts one at a time."""
+    columns = {c: rel.columns[c] for c in cols}
+    for i, exp in zip(row_indices, expected):
+        entity = tuple(columns[c][i] for c in cols)
+        store.ref_rows.setdefault(entity, {c: columns[c][i] for c in cols})
+        d = float(det_values[i]) if det_values is not None else 0.0
+        side = store.true_side if exp else store.false_side
+        _push(op, bool(exp), side.setdefault(entity, []), batch_no, d)
 
 
 def _push(op: str, expected: bool, hist: History, batch_no: int, value: float) -> None:
@@ -128,21 +148,55 @@ class SentinelStore:
         rel,
         row_indices: np.ndarray,
         expected: np.ndarray,
-        vectorize: bool = False,
         batch_no: int = 0,
     ) -> None:
         """Record sentinels for rows just resolved by conjunct ``conjunct_idx``.
 
         ``row_indices`` are positions in ``rel``; ``expected`` the resolved
         boolean per row; ``batch_no`` stamps the tightening history (used
-        to compute the recovery depth on a later flip). With
-        ``vectorize=True``, ordered comparisons fold the batch per entity
-        with array min/max before touching the dicts (bit-identical:
+        to compute the recovery depth on a later flip). Ordered
+        comparisons fold the batch per entity with array min/max before
+        touching the dicts (bit-identical to :meth:`record_sequential`:
         min/max folds commute, and entity equality is by value either
         way).
         """
-        det_expr, unc_expr, cols = self._sides[conjunct_idx]
-        store = self._per_conjunct[conjunct_idx]
+        store, op, cols, det_values = self._conjunct(conjunct_idx, rel)
+        if (
+            det_values is not None
+            and op in ("<", "<=", ">", ">=")
+            and len(row_indices)
+            # Python's min/max are order-sensitive under NaN; keep the
+            # sequential fold there.
+            and not np.isnan(det_values[row_indices]).any()
+        ):
+            self._record_batched(
+                store, op, rel, row_indices, expected, cols, det_values, batch_no
+            )
+        else:
+            _fold_rows(store, op, rel, row_indices, expected, cols, det_values, batch_no)
+
+    def record_sequential(
+        self,
+        conjunct_idx: int,
+        rel,
+        row_indices: np.ndarray,
+        expected: np.ndarray,
+        batch_no: int = 0,
+    ) -> None:
+        """:meth:`record` one row at a time, in row order.
+
+        :meth:`record` takes this fold for NaN bounds, ``==``/``!=`` and
+        conjuncts with two uncertain sides; for the rest it is the
+        reference the batched fold must equal."""
+        store, op, cols, det_values = self._conjunct(conjunct_idx, rel)
+        _fold_rows(store, op, rel, row_indices, expected, cols, det_values, batch_no)
+
+    def _conjunct(
+        self, conjunct_idx: int, rel
+    ) -> tuple[_ConjunctSentinels, str, list[str], np.ndarray | None]:
+        """``(store, op with the deterministic side on the left, entity
+        columns, deterministic-side values or None)`` of one conjunct."""
+        det_expr, _, cols = self._sides[conjunct_idx]
         cmp_ = self.conjuncts[conjunct_idx]
         op = cmp_.op if det_expr is cmp_.left or det_expr is None else _flip(cmp_.op)
         det_values = (
@@ -150,28 +204,7 @@ class SentinelStore:
             if det_expr is not None
             else None
         )
-        if (
-            vectorize
-            and det_values is not None
-            and op in ("<", "<=", ">", ">=")
-            and len(row_indices)
-            # Python's min/max are order-sensitive under NaN; keep the
-            # sequential reference fold there.
-            and not np.isnan(det_values[row_indices]).any()
-        ):
-            self._record_batched(
-                store, op, rel, row_indices, expected, cols, det_values, batch_no
-            )
-            return
-        columns = {c: rel.columns[c] for c in cols}
-        for i, exp in zip(row_indices, expected):
-            entity = tuple(columns[c][i] for c in cols)
-            store.ref_rows.setdefault(
-                entity, {c: columns[c][i] for c in cols}
-            )
-            d = float(det_values[i]) if det_values is not None else 0.0
-            side = store.true_side if exp else store.false_side
-            _push(op, bool(exp), side.setdefault(entity, []), batch_no, d)
+        return self._per_conjunct[conjunct_idx], op, cols, det_values
 
     def _record_batched(
         self,

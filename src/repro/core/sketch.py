@@ -120,32 +120,6 @@ class AggBundle:
                 self.trial_sums[s], gids, feats.T[:, None, :] * trial_w[:, :, None]
             )
 
-    def fold_values(
-        self,
-        keys: Sequence[GroupKey],
-        spec_index: int,
-        values: np.ndarray,
-        trial_values: np.ndarray,
-        mult: np.ndarray,
-        trial_mults: np.ndarray,
-    ) -> None:
-        """Fold rows whose aggregate argument is itself uncertain.
-
-        ``values`` holds the per-row point arguments, ``trial_values`` the
-        (n, T) per-trial arguments. Only single-feature functions support
-        uncertain arguments (SUM/AVG-style; features = identity), which is
-        checked at compile time.
-        """
-        gids = self._ensure_groups(list(keys))
-        np.add.at(self.weight, gids, mult)
-        np.add.at(self.trial_weight, gids, trial_mults)
-        np.add.at(self.sums[spec_index], gids, (values * mult)[:, None])
-        np.add.at(
-            self.trial_sums[spec_index],
-            gids,
-            (trial_values * trial_mults)[:, :, None],
-        )
-
     def fold_values_coded(
         self,
         keys: Sequence[GroupKey],
@@ -156,12 +130,15 @@ class AggBundle:
         mult: np.ndarray,
         trial_mults: np.ndarray,
     ) -> None:
-        """Vectorized :meth:`fold_values`: rows arrive pre-factorized.
+        """Fold rows whose aggregate argument is itself uncertain.
 
-        ``keys`` lists the distinct group keys in first-appearance order
-        and ``gids`` codes each row into that list (the key codec's
-        output), replacing the per-row dict probe. Accumulation order is
-        identical to :meth:`fold_values`, so the sums are bit-identical.
+        ``values`` holds the per-row point arguments, ``trial_values`` the
+        (n, T) per-trial arguments. Rows arrive pre-factorized: ``keys``
+        lists the distinct group keys in first-appearance order and
+        ``gids`` codes each row into that list (the key codec's output).
+        Only single-feature functions support uncertain arguments
+        (SUM/AVG-style; features = identity), which is checked at compile
+        time.
         """
         base = self._ensure_groups(list(keys))
         g = base[gids] if len(base) else np.zeros(0, dtype=np.intp)

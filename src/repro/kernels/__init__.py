@@ -16,10 +16,16 @@ hot paths with batched NumPy kernels:
 * :mod:`repro.kernels.stats` — cache hit/miss counters surfaced through
   the observability registry.
 
-Every kernel has a row-wise reference implementation in the engine
-(selected with ``OnlineConfig(vectorize=False)``); the contract is
-*bit-identical* outputs, enforced by ``tests/test_kernels.py`` and the
-property suite. Submodules are imported directly (not re-exported here)
+The kernels are the engine's only path; there is no row-wise mode to
+switch to. Where a kernel cannot take an input faithfully, the input
+selects a fallback: expressions outside the kernel dialect (e.g. ``%``)
+take ``classify.evaluate_side_per_row``, NaN bounds and ``==``/``!=``
+take ``SentinelStore.record_sequential``, unhashable or NaN-bearing key
+columns take the codec's dict sweep, and keyless joins take
+``join_relations``. ``tests/test_kernels.py`` and the property suite pin
+each kernel bit for bit against those standalone references, and the
+whole engine is checked against Theorem 1 (every batch equals the query
+on the rows seen so far) on every workload query. Submodules are imported directly (not re-exported here)
 to keep import edges acyclic: ``codec`` depends only on NumPy, so even
 ``repro.relational`` may use it.
 """

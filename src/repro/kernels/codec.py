@@ -1,6 +1,6 @@
 """Key codec: factorize key columns into dense integer codes.
 
-The row-wise engine identifies groups by Python tuples
+Row-at-a-time code identifies groups by Python tuples
 (:meth:`Relation.key_tuples`) and probes dictionaries per row. The codec
 replaces that with ``np.unique``-based factorization: each distinct key
 gets a dense integer code in *first-appearance order* (the same order the

@@ -1,7 +1,7 @@
 """Batched lineage resolution and array-wide interval arithmetic.
 
-The reference classifier (``repro.core.classify``) evaluates a
-comparison side row by row: resolve the row's lineage cells, run
+The per-row reference (``repro.core.classify.evaluate_side_per_row``)
+evaluates a comparison side row by row: resolve the row's lineage cells, run
 ``UncertainValue`` arithmetic, copy ``lo/hi/point/trials`` out. Lineage
 columns repeat a handful of distinct cell objects (one per side group),
 so the kernel factorizes each column by cell identity, resolves every
@@ -13,8 +13,9 @@ bounds.
 
 :func:`try_evaluate_side` returns ``None`` for expression shapes the
 kernel does not cover (non-arithmetic nodes, ``%``, non-numeric
-literals); the caller falls back to the row-wise reference, keeping the
-fast path an optimization rather than a semantics fork.
+literals); the caller falls back to the per-row reference for those
+inputs, keeping the fast path an optimization rather than a semantics
+fork.
 """
 
 from __future__ import annotations

@@ -24,6 +24,13 @@ class TestParser:
         args = build_parser().parse_args(["--query", "Q17", "--workload", "tpch"])
         assert args.query == "Q17"
 
+    def test_no_vectorize_rejected(self, capsys):
+        # The row-wise engine path is gone, and so is its switch.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["SELECT 1 FROM t", "--no-vectorize"])
+        assert exc.value.code == 2
+        assert "--no-vectorize" in capsys.readouterr().err
+
 
 class TestMain:
     def run(self, argv, capsys):

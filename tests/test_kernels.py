@@ -1,11 +1,16 @@
 """Bit-identity tests for the vectorized kernel layer (repro.kernels).
 
-Every kernel has a row-wise reference implementation in the engine; the
-contract is *bit-identical* output, not approximate equality. These tests
-pin each kernel against its reference on hand-picked edge cases; the
-property suite (tests/test_properties.py) covers randomized inputs and
-whole-engine runs with ``vectorize`` on/off.
+Every kernel is pinned against a standalone reference — the per-row
+fallback the engine keeps for inputs outside the kernel's reach, or an
+independent dict/loop implementation; the contract is *bit-identical*
+output, not approximate equality. These tests cover hand-picked edge
+cases; the property suite (tests/test_properties.py) covers randomized
+inputs. Whole-engine runs are checked bit for bit across storage sidecars
+and process shards here, and against Theorem 1 in
+tests/test_online_engine.py.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -40,14 +45,23 @@ from repro.relational.aggregates import AGG_FUNCTIONS, AggregateFunction, Median
 from repro.relational.evaluator import join_relations
 from repro.relational.expressions import Arith, Col, Comparison, col, lit
 from repro.workloads import CONVIVA_QUERIES, TPCH_QUERIES
+from tests.test_shards import canon
 
 
-def make_ctx(t=4, vectorize=True):
-    ctx = RuntimeContext(
-        Catalog({}), "t", 100, OnlineConfig(num_trials=t, vectorize=vectorize)
-    )
+def make_ctx(t=4):
+    ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=t))
     ctx.batch_no = 1
     return ctx
+
+
+class TestOneEnginePath:
+    def test_vectorize_true_constructs(self):
+        assert OnlineConfig(vectorize=True).vectorize is True
+
+    @pytest.mark.parametrize("value", [False, None, 0, 1, "yes"])
+    def test_any_other_vectorize_value_raises(self, value):
+        with pytest.raises(ValueError, match="row-wise engine path was removed"):
+            OnlineConfig(vectorize=value)
 
 
 def reference_codes(rel, names):
@@ -388,7 +402,7 @@ def publish_block(ctx, block, key, value, trials, lo, hi, colname="v"):
 
 
 class TestResolveKernel:
-    """kernels.resolve vs the row-wise classify reference."""
+    """kernels.resolve vs the per-row ``evaluate_side_per_row`` reference."""
 
     SCHEMA = Schema([("d", ColumnType.FLOAT), ("u", ColumnType.FLOAT)])
 
@@ -401,22 +415,19 @@ class TestResolveKernel:
             self.SCHEMA, {"d": np.asarray(d_values, dtype=float), "u": refs}
         )
 
-    def contexts(self, publish_keys=(0, 1), t=4):
-        pair = []
-        for vectorize in (True, False):
-            ctx = make_ctx(t=t, vectorize=vectorize)
-            for k in publish_keys:
-                publish_block(
-                    ctx, 1, (k,), 10.0 + k, [10.0 + k + j * 0.5 for j in range(t)],
-                    8.0 + k, 12.0 + k,
-                )
-            pair.append(ctx)
-        return pair
+    def context(self, publish_keys=(0, 1), t=4):
+        ctx = make_ctx(t=t)
+        for k in publish_keys:
+            publish_block(
+                ctx, 1, (k,), 10.0 + k, [10.0 + k + j * 0.5 for j in range(t)],
+                8.0 + k, 12.0 + k,
+            )
+        return ctx
 
     def assert_sides_equal(self, expr, rel, t=4, publish_keys=(0, 1)):
-        vec_ctx, ref_ctx = self.contexts(publish_keys, t)
-        vec = classify.evaluate_side(expr, rel, {"u"}, vec_ctx)
-        ref = classify.evaluate_side(expr, rel, {"u"}, ref_ctx)
+        ctx = self.context(publish_keys, t)
+        vec = classify.evaluate_side(expr, rel, {"u"}, ctx)
+        ref = classify.evaluate_side_per_row(expr, rel, {"u"}, ctx)
         assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
         assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
         assert np.array_equal(vec.point, ref.point, equal_nan=True)
@@ -437,13 +448,12 @@ class TestResolveKernel:
         self.assert_sides_equal(col("d") * Col("u"), rel)
 
     def test_division_range_crossing_zero(self):
-        vec_ctx, ref_ctx = self.contexts((0,))
-        for ctx in (vec_ctx, ref_ctx):
-            publish_block(ctx, 1, (9,), 0.5, [0.5] * 4, -1.0, 2.0)
+        ctx = self.context((0,))
+        publish_block(ctx, 1, (9,), 0.5, [0.5] * 4, -1.0, 2.0)
         rel = self.rel([6.0, 6.0], [0, 9])
         expr = col("d") / Col("u")
-        vec = classify.evaluate_side(expr, rel, {"u"}, vec_ctx)
-        ref = classify.evaluate_side(expr, rel, {"u"}, ref_ctx)
+        vec = classify.evaluate_side(expr, rel, {"u"}, ctx)
+        ref = classify.evaluate_side_per_row(expr, rel, {"u"}, ctx)
         assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
         assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
         assert vec.lo[1] == -np.inf and vec.hi[1] == np.inf
@@ -455,23 +465,28 @@ class TestResolveKernel:
         self.assert_sides_equal(Col("u"), rel)
 
     def test_modulo_outside_kernel_dialect(self):
-        # % has no interval rule; the kernel declines and classify keeps
-        # the row-wise reference for such expressions.
+        # % has no interval rule: the kernel declines any tree holding one,
+        # and evaluate_side hands it to the per-row fallback.
         from repro.kernels import resolve as kresolve
 
-        vec_ctx, _ = self.contexts((0,))
-        rel = self.rel([2.0], [0])
-        out = kresolve.try_evaluate_side(
-            Arith("%", Col("u"), lit(3.0)), rel, {"u"}, vec_ctx
+        ctx = self.context((0,))
+        rel = self.rel([2.0, 7.0], [0, 0])
+        for expr in (
+            Arith("%", Col("u"), lit(3.0)),
+            Col("u") + Arith("%", col("d"), lit(3.0)),
+        ):
+            assert kresolve.try_evaluate_side(expr, rel, {"u"}, ctx) is None
+        self.assert_sides_equal(
+            Col("u") + Arith("%", col("d"), lit(3.0)), rel, publish_keys=(0,)
         )
-        assert out is None
 
-    def test_classification_identical(self):
-        vec_ctx, ref_ctx = self.contexts()
+    def test_classification_identical(self, monkeypatch):
         rel = self.rel([20.0, 1.0, 10.5], [0, 0, 0])
         cmp_ = Comparison(">", Col("d"), Col("u"))
-        vec = classify.classify_comparison(cmp_, rel, {"u"}, vec_ctx)
-        ref = classify.classify_comparison(cmp_, rel, {"u"}, ref_ctx)
+        vec = classify.classify_comparison(cmp_, rel, {"u"}, self.context())
+        # The same classification with both sides taken per row.
+        monkeypatch.setattr(classify, "evaluate_side", classify.evaluate_side_per_row)
+        ref = classify.classify_comparison(cmp_, rel, {"u"}, self.context())
         assert np.array_equal(vec.status, ref.status)
         assert np.array_equal(vec.point, ref.point)
         vt, rt = vec.trial_matrix(4), ref.trial_matrix(4)
@@ -552,6 +567,8 @@ class TestHolisticKernels:
 
 
 class TestVectorizedSentinels:
+    """``SentinelStore.record`` vs its sequential fold, called directly."""
+
     def make_stores(self):
         cmp_ = Comparison(">", Col("d"), Col("u"))
         return (
@@ -584,8 +601,8 @@ class TestVectorizedSentinels:
             rel = self.rel(d, keys)
             rows = np.arange(30)
             expected = rng.random(30) > 0.5
-            vec.record(0, rel, rows, expected, vectorize=True)
-            ref.record(0, rel, rows, expected, vectorize=False)
+            vec.record(0, rel, rows, expected)
+            ref.record_sequential(0, rel, rows, expected)
         self.assert_stores_equal(vec, ref)
 
     def test_nan_det_values_use_reference(self):
@@ -594,8 +611,8 @@ class TestVectorizedSentinels:
         rel = self.rel(d, [0, 0, 1])
         rows = np.arange(3)
         expected = np.array([True, True, False])
-        vec.record(0, rel, rows, expected, vectorize=True)
-        ref.record(0, rel, rows, expected, vectorize=False)
+        vec.record(0, rel, rows, expected)
+        ref.record_sequential(0, rel, rows, expected)
         self.assert_stores_equal(vec, ref)
 
     def test_equality_op_uses_reference(self):
@@ -605,8 +622,8 @@ class TestVectorizedSentinels:
         rel = self.rel([1.0, 2.0, 1.5], [0, 0, 0])
         rows = np.arange(3)
         expected = np.array([False, False, True])
-        vec.record(0, rel, rows, expected, vectorize=True)
-        ref.record(0, rel, rows, expected, vectorize=False)
+        vec.record(0, rel, rows, expected)
+        ref.record_sequential(0, rel, rows, expected)
         self.assert_stores_equal(vec, ref)
 
 
@@ -617,16 +634,30 @@ ALL_QUERIES = [("tpch", name) for name in TPCH_QUERIES] + [
 ]
 
 
-def _run_spec(spec, catalog, vectorize, shards=0, num_batches=3, num_trials=8):
+def _run_spec(spec, catalog, shards=0, num_batches=3, num_trials=8):
     engine_cls = ShardedQueryEngine if shards else OnlineQueryEngine
     engine = engine_cls(
         catalog,
         spec.streamed_table,
-        OnlineConfig(
-            num_trials=num_trials, seed=7, vectorize=vectorize, shards=shards
-        ),
+        OnlineConfig(num_trials=num_trials, seed=7, shards=shards),
     )
     return list(engine.run(spec.plan, num_batches))
+
+
+def canonical(partials):
+    """Partials with their rows in the shard merge sink's order."""
+    return [dataclasses.replace(p, rows=canon(p.rows)) for p in partials]
+
+
+def without_sidecars(catalog):
+    """The same tables rebuilt through the public constructor, which
+    attaches no dictionary encodings or lineage sidecars."""
+    return Catalog(
+        {
+            name: Relation(rel.schema, rel.columns, rel.mult, rel.trial_mults)
+            for name, rel in ((n, catalog.get(n)) for n in catalog)
+        }
+    )
 
 
 def _scalar_eq(a, b):
@@ -643,8 +674,8 @@ def assert_partials_identical(got, want, where):
         assert pg.fraction_processed == pw.fraction_processed, ctx
         assert pg.schema.names == pw.schema.names, ctx
         assert len(pg.rows) == len(pw.rows), ctx
-        # Row order must match too: the vectorized codec assigns group ids
-        # in the same first-appearance order as the dict reference.
+        # Row order must match too: group ids follow first appearance
+        # whichever way the keys were factorized.
         for rg, rw in zip(pg.rows, pw.rows):
             for name in pw.schema.names:
                 vg, vw = rg[name], rw[name]
@@ -666,25 +697,35 @@ def small_catalogs(tpch_small, conviva_small):
 
 
 class TestFullRunBitIdentity:
-    """Vectorized and reference modes must agree bit for bit on every
-    workload query — per batch, per row, per trial."""
+    """Whole runs of every workload query must not change — per batch, per
+    row, per trial, per range bound — with how the input is stored or how
+    many processes run it."""
 
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_serial(self, source, name, small_catalogs):
+        """Sidecar neutrality: dictionary encodings only speed up key
+        factorization, so a catalog without them gives the same answer."""
         spec = (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
         catalog = small_catalogs[source]
-        vec = _run_spec(spec, catalog, True)
-        ref = _run_spec(spec, catalog, False)
-        assert vec, f"{name}: no partial results"
-        assert_partials_identical(vec, ref, f"{name} serial")
+        assert any(catalog.get(n).encodings for n in catalog)
+        plain = without_sidecars(catalog)
+        assert not any(plain.get(n).encodings for n in plain)
+        encoded = _run_spec(spec, catalog)
+        assert encoded, f"{name}: no partial results"
+        assert_partials_identical(_run_spec(spec, plain), encoded, f"{name} sidecars")
 
     @pytest.mark.parametrize("source,name", ALL_QUERIES)
     def test_parallel(self, source, name, small_catalogs):
-        """Across two shard worker processes (the single-process fallback
-        for plans that do not shard) both modes still agree bit for bit."""
+        """Two shard worker processes (the single-process fallback for
+        plans that do not shard) agree with the serial engine bit for
+        bit."""
         spec = (TPCH_QUERIES if source == "tpch" else CONVIVA_QUERIES)[name]
         catalog = small_catalogs[source]
-        vec = _run_spec(spec, catalog, True, shards=2)
-        ref = _run_spec(spec, catalog, False, shards=2)
-        assert vec, f"{name}: no partial results"
-        assert_partials_identical(vec, ref, f"{name} parallel")
+        serial = _run_spec(spec, catalog)
+        assert serial, f"{name}: no partial results"
+        # The shard merge sink emits rows in canonical order.
+        assert_partials_identical(
+            canonical(_run_spec(spec, catalog, shards=2)),
+            canonical(serial),
+            f"{name} shards=2",
+        )

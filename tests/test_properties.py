@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.baselines import run_batch
 from repro.core import OnlineConfig, OnlineQueryEngine
 from repro.core.blocks import BlockOutput, GroupValue, RuntimeContext
-from repro.core.classify import evaluate_side
+from repro.core.classify import evaluate_side, evaluate_side_per_row
 from repro.core.values import LineageRef, UncertainValue, VariationRange
 from repro.kernels.codec import factorize_keys
 from repro.kernels.holistic import weighted_quantile, weighted_quantile_trials
@@ -38,7 +38,6 @@ from repro.relational.evaluator import aggregate_relation, join_relations
 from repro.relational.expressions import Col
 from tests.conftest import KX_SCHEMA
 from tests.test_kernels import (
-    assert_partials_identical,
     assert_rel_identical,
     keys_equal,
     reference_codes,
@@ -195,8 +194,30 @@ class TestOnlineEqualsBatchFuzzed:
         assert self.run_online(plan, cat, seed, 5).bag_equal(exact, 3)
 
 
+    @fuzz
+    @given(st.integers(0, 10_000), st.integers(150, 500), st.integers(2, 5))
+    def test_semijoin_median(self, seed, n, batches):
+        """The ND-heavy shape: an uncertain semijoin membership feeding a
+        holistic MEDIAN, whose row store is re-evaluated every batch."""
+        rng = np.random.default_rng(seed)
+        cat = Catalog({"t": dataset(seed, n, 5)})
+        member = (
+            scan("t", KX_SCHEMA)
+            .aggregate(["k"], [sum_("x", "sx")])
+            .select(col("sx") > float(rng.uniform(100.0, 600.0)))
+            .project([("k2", col("k"))])
+        )
+        plan = (
+            scan("t", KX_SCHEMA)
+            .join(member, keys=[("k", "k2")])
+            .aggregate(["k"], [median("y", "my"), count("n")])
+        )
+        exact = run_batch(plan, cat).relation
+        assert self.run_online(plan, cat, seed, batches).bag_equal(exact, 3)
+
+
 class TestKernelsMatchReferenceFuzzed:
-    """Every vectorized kernel equals its row-wise reference on randomized
+    """Every vectorized kernel equals its standalone reference on randomized
     inputs, including the degenerate shapes the batch path rarely hits:
     empty relations, single rows, NaN-bearing float keys, object/lineage
     columns, and zero-multiplicity rows."""
@@ -288,26 +309,22 @@ class TestKernelsMatchReferenceFuzzed:
             schema, {"d": np.round(rng.normal(0, 3, n), 2), "u": refs}
         )
         trials_of = {k: rng.standard_normal(5).round(2) for k in range(keys)}
-        sides = []
-        for vectorize in (True, False):
-            ctx = RuntimeContext(
-                Catalog({}), "t", 100, OnlineConfig(num_trials=5, vectorize=vectorize)
+        ctx = RuntimeContext(Catalog({}), "t", 100, OnlineConfig(num_trials=5))
+        ctx.batch_no = 1
+        out = BlockOutput(1, [], ["v"])
+        for k in range(keys):
+            value = float(10 + k)
+            uv = UncertainValue(
+                value,
+                value + trials_of[k],
+                VariationRange(value - 2.0, value + 2.0),
+                LineageRef(1, (k,), "v"),
             )
-            ctx.batch_no = 1
-            out = BlockOutput(1, [], ["v"])
-            for k in range(keys):
-                value = float(10 + k)
-                uv = UncertainValue(
-                    value,
-                    value + trials_of[k],
-                    VariationRange(value - 2.0, value + 2.0),
-                    LineageRef(1, (k,), "v"),
-                )
-                out.publish(GroupValue((k,), {"v": uv}, True), is_new=True)
-            ctx.blocks[1] = out
-            expr = Col("u") * 0.5 + col("d")
-            sides.append(evaluate_side(expr, rel, {"u"}, ctx))
-        vec, ref = sides
+            out.publish(GroupValue((k,), {"v": uv}, True), is_new=True)
+        ctx.blocks[1] = out
+        expr = Col("u") * 0.5 + col("d")
+        vec = evaluate_side(expr, rel, {"u"}, ctx)
+        ref = evaluate_side_per_row(expr, rel, {"u"}, ctx)
         assert np.array_equal(vec.lo, ref.lo, equal_nan=True)
         assert np.array_equal(vec.hi, ref.hi, equal_nan=True)
         assert np.array_equal(vec.point, ref.point, equal_nan=True)
@@ -318,44 +335,6 @@ class TestKernelsMatchReferenceFuzzed:
         )
         assert np.array_equal(vec.pending, ref.pending)
         assert vec.refs == ref.refs
-
-
-class TestFullRunVectorizeFuzzed:
-    """Whole randomized runs: vectorize on/off yield bit-identical partial
-    results (the ND-heavy semijoin + holistic shape)."""
-
-    @fuzz
-    @given(
-        st.integers(0, 10_000),
-        st.integers(150, 500),
-        st.integers(2, 5),
-    )
-    def test_bit_identical_modes(self, seed, n, batches):
-        rng = np.random.default_rng(seed)
-        cat = Catalog({"t": dataset(seed, n, 5)})
-        member = (
-            scan("t", KX_SCHEMA)
-            .aggregate(["k"], [sum_("x", "sx")])
-            .select(col("sx") > float(rng.uniform(100.0, 600.0)))
-            .project([("k2", col("k"))])
-        )
-        plan = (
-            scan("t", KX_SCHEMA)
-            .join(member, keys=[("k", "k2")])
-            .aggregate(["k"], [median("y", "my"), count("n")])
-        )
-        partials = {}
-        for vectorize in (True, False):
-            eng = OnlineQueryEngine(
-                cat,
-                "t",
-                OnlineConfig(num_trials=9, seed=seed, vectorize=vectorize),
-            )
-            partials[vectorize] = list(eng.run(plan, batches))
-        assert partials[True], "no partial results"
-        assert_partials_identical(
-            partials[True], partials[False], f"fuzz seed={seed}"
-        )
 
 
 class TestBootstrapCoverage:

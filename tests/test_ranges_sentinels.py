@@ -308,14 +308,8 @@ class TestRecoverFromDepth:
         ref = LineageRef(1, (), "v")
         publish(ctx, 1, (), "v", 10.0, [10.0])
         rel = rel_with_refs([50.0, 20.0], ref)
-        store.record(
-            0, rel, np.array([0]), np.array([True]),
-            vectorize=True, batch_no=3,
-        )
-        store.record(
-            0, rel, np.array([1]), np.array([True]),
-            vectorize=True, batch_no=6,
-        )
+        store.record(0, rel, np.array([0]), np.array([True]), batch_no=3)
+        store.record(0, rel, np.array([1]), np.array([True]), batch_no=6)
         publish(ctx, 1, (), "v", 30.0, [30.0])
         with pytest.raises(RangeIntegrityError) as exc:
             store.check(ctx)

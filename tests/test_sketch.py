@@ -97,9 +97,9 @@ class TestFinalize:
 class TestFoldValues:
     def test_uncertain_argument_path(self):
         b = AggBundle([sum_("x", "sx")], 2)
-        keys = [("g",), ("g",)]
-        b.fold_values(
-            keys,
+        b.fold_values_coded(
+            [("g",)],
+            np.array([0, 0]),
             0,
             values=np.array([3.0, 4.0]),
             trial_values=np.array([[3.0, 30.0], [4.0, 40.0]]),
